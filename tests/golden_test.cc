@@ -97,6 +97,15 @@ class OfflineMeter : public net::NetworkObserver {
   std::map<net::NodeId, Counts> nodes_;
 };
 
+// Only OT runs have offline traffic. Other runs stay unobserved: an
+// attached observer makes the cleartext plane fall back from bulk metering
+// to literal sends, and the goldens must pin the default path.
+void AttachOfflineMeter(const RunSpec& spec, Engine* engine, OfflineMeter* meter) {
+  if (spec.use_ot_triples) {
+    engine->AttachObserver(meter);
+  }
+}
+
 std::string HexBits(const mpc::BitVector& bits) {
   static const char kHex[] = "0123456789abcdef";
   std::string out;
@@ -136,7 +145,7 @@ void RenderTraffic(const Engine& engine, const OfflineMeter& meter,
 std::vector<std::string> ObserveRun(const RunSpec& spec) {
   Engine engine(spec);
   OfflineMeter meter;
-  engine.AttachObserver(&meter);
+  AttachOfflineMeter(spec, &engine, &meter);
   engine::RunReport report = engine.Run();
   std::vector<std::string> lines;
   lines.push_back("released " + std::to_string(report.released));
@@ -155,7 +164,7 @@ std::vector<std::string> ObserveRun(const RunSpec& spec) {
 std::vector<std::string> ObserveEnsemble(const RunSpec& spec) {
   Engine engine(spec);
   OfflineMeter meter;
-  engine.AttachObserver(&meter);
+  AttachOfflineMeter(spec, &engine, &meter);
   ensemble::EnsembleReport report = engine.RunEnsemble();
   std::vector<std::string> lines;
   for (size_t s = 0; s < report.scenarios.size(); s++) {
