@@ -51,6 +51,19 @@ mpc::BitVector UnpackBits(const Bytes& raw, size_t bits) {
   return out;
 }
 
+// The (group, member) roles of a batched MPC phase over `groups` blocks of
+// `block_size` members, in group-major order.
+std::vector<std::pair<int, int>> GroupMemberRoles(int groups, int block_size) {
+  std::vector<std::pair<int, int>> roles;
+  roles.reserve(static_cast<size_t>(groups) * block_size);
+  for (int g = 0; g < groups; g++) {
+    for (int m = 0; m < block_size; m++) {
+      roles.emplace_back(g, m);
+    }
+  }
+  return roles;
+}
+
 int SlotOf(const std::vector<int>& neighbors, int target) {
   for (size_t i = 0; i < neighbors.size(); i++) {
     if (neighbors[i] == target) {
@@ -435,35 +448,6 @@ void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
   }
 }
 
-void Runtime::ComputePhase() {
-  if (config_.batch_mpc) {
-    ComputePhaseBatched();
-  } else {
-    ComputePhaseUnbatched();
-  }
-}
-
-// Seed schedule: one pool task and one GmwParty per (vertex, member) role.
-void Runtime::ComputePhaseUnbatched() {
-  int n = graph_.num_vertices();
-  int k1 = config_.block_size;
-
-  RunGrouped(static_cast<size_t>(n), static_cast<size_t>(k1), [&](size_t vg, size_t ms) {
-    int v = static_cast<int>(vg);
-    int m = static_cast<int>(ms);
-    net::SessionId session = kComputeSession | static_cast<uint64_t>(v);
-
-    mpc::TripleSource* triples = TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
-    mpc::GmwParty party(net_.get(), setup_.blocks[v], m, triples, session);
-    mpc::PackedShareMatrix input(update_plan_.num_inputs(), 1);
-    input.SetInstance(0, AssembleUpdateInput(v, m));
-    mpc::BatchStats stats;
-    mpc::BitVector output = party.EvalBatch(update_plan_, input, &stats).Instance(0);
-    AccumulateBatchStats(stats);
-    ScatterUpdateOutput(v, m, output);
-  });
-}
-
 void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
                               const std::function<int(int, int)>& node_of,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
@@ -529,25 +513,17 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
   });
 }
 
-// Batched schedule: the step's (vertex, member) roles advance through the
-// update circuit's AND layers in lockstep over bitsliced shares
-// (batch_eval.h) instead of one task + one GmwParty per role. Wire traffic
-// is bit-identical to the unbatched schedule — same per-instance payloads,
-// rounds still = AND depth — but the per-layer synchronization is paid once
-// per scheduler instead of once per role, and the free gates of up to 64
-// roles cost one word op.
-void Runtime::ComputePhaseBatched() {
+// The step's (vertex, member) roles advance through the update circuit's
+// AND layers in lockstep over bitsliced shares (batch_eval.h): rounds equal
+// the AND depth, the per-layer synchronization is paid once per scheduler
+// instead of once per role, and the free gates of up to 64 roles cost one
+// word op.
+void Runtime::ComputePhase() {
   int n = graph_.num_vertices();
   int k1 = config_.block_size;
   const size_t num_and = update_circuit_.stats().num_and;
 
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(n) * k1);
-  for (int v = 0; v < n; v++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(v, m);
-    }
-  }
+  std::vector<std::pair<int, int>> roles = GroupMemberRoles(n, k1);
   RunBatchedPhase(
       roles, [&](int v, int m) { return setup_.blocks[v][m]; },
       [&](int v, int m) {
@@ -817,53 +793,30 @@ int64_t Runtime::AggregateTree() {
     return input;
   };
   std::vector<std::vector<mpc::BitVector>> shares(num_groups, std::vector<mpc::BitVector>(k1));
-  if (config_.batch_mpc) {
-    // All leaf roles advance in lockstep (same wire traffic as the
-    // per-role schedule; see ComputePhaseBatched).
-    std::vector<std::pair<int, int>> roles;
-    roles.reserve(static_cast<size_t>(num_groups) * k1);
-    for (int g = 0; g < num_groups; g++) {
-      for (int m = 0; m < k1; m++) {
-        roles.emplace_back(g, m);
-      }
-    }
-    RunBatchedPhase(
-        roles, [&](int g, int m) { return blocks[g][m]; },
-        [&](int g, int m) {
-          int size = std::min(n, g * fanout + fanout) - g * fanout;
-          const circuit::EvalPlan& plan = leaf_plan_for(size);
-          mpc::TripleSource* source =
-              TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
-          mpc::BatchInstance item;
-          item.plan = &plan;
-          item.parties = blocks[g];
-          item.my_index = m;
-          if (plan.stats().num_and > 0) {
-            item.triples = source->Generate(plan.stats().num_and);
-          }
-          item.input_shares = leaf_input(g, m);
-          item.order_key = static_cast<uint64_t>(g);
-          return item;
-        },
-        [&](size_t i, const mpc::BitVector& output) {
-          shares[roles[i].first][roles[i].second] = output;
-        },
-        /*count_rounds=*/false);
-  } else {
-    RunGrouped(static_cast<size_t>(num_groups), static_cast<size_t>(k1),
-               [&](size_t gg, size_t mm) {
-                 int g = static_cast<int>(gg);
-                 int m = static_cast<int>(mm);
-                 int size = std::min(n, g * fanout + fanout) - g * fanout;
-                 const circuit::EvalPlan& plan = leaf_plan_for(size);
-                 net::SessionId session = kAggEvalSession | static_cast<uint64_t>(g);
-                 mpc::TripleSource* triples =
-                     TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
-                 mpc::GmwParty party(net_.get(), blocks[g], m, triples, session);
-                 shares[g][m] = party.Eval(plan, leaf_input(g, m));
-                 triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-               });
-  }
+  // All leaf roles advance in lockstep (see ComputePhase).
+  std::vector<std::pair<int, int>> leaf_roles = GroupMemberRoles(num_groups, k1);
+  RunBatchedPhase(
+      leaf_roles, [&](int g, int m) { return blocks[g][m]; },
+      [&](int g, int m) {
+        int size = std::min(n, g * fanout + fanout) - g * fanout;
+        const circuit::EvalPlan& plan = leaf_plan_for(size);
+        mpc::TripleSource* source =
+            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
+        mpc::BatchInstance item;
+        item.plan = &plan;
+        item.parties = blocks[g];
+        item.my_index = m;
+        if (plan.stats().num_and > 0) {
+          item.triples = source->Generate(plan.stats().num_and);
+        }
+        item.input_shares = leaf_input(g, m);
+        item.order_key = static_cast<uint64_t>(g);
+        return item;
+      },
+      [&](size_t i, const mpc::BitVector& output) {
+        shares[leaf_roles[i].first][leaf_roles[i].second] = output;
+      },
+      /*count_rounds=*/false);
 
   // Intermediate combine levels (without noise) until one root group of at
   // most `fanout` partials remains — the general tree of §3.6. For the
@@ -911,53 +864,29 @@ int64_t Runtime::AggregateTree() {
     };
     std::vector<std::vector<mpc::BitVector>> next_shares(next_groups,
                                                          std::vector<mpc::BitVector>(k1));
-    if (config_.batch_mpc) {
-      std::vector<std::pair<int, int>> roles;
-      roles.reserve(static_cast<size_t>(next_groups) * k1);
-      for (int g = 0; g < next_groups; g++) {
-        for (int m = 0; m < k1; m++) {
-          roles.emplace_back(g, m);
-        }
-      }
-      RunBatchedPhase(
-          roles, [&](int g, int m) { return next_blocks[g][m]; },
-          [&](int g, int m) {
-            int size = std::min(p, g * fanout + fanout) - g * fanout;
-            const circuit::EvalPlan& plan = combine_plan_for(size);
-            mpc::TripleSource* source = TripleSourceFor(
-                kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m, next_blocks[g]);
-            mpc::BatchInstance item;
-            item.plan = &plan;
-            item.parties = next_blocks[g];
-            item.my_index = m;
-            if (plan.stats().num_and > 0) {
-              item.triples = source->Generate(plan.stats().num_and);
-            }
-            item.input_shares = combine_input(g, m, next_blocks);
-            item.order_key = static_cast<uint64_t>(g);
-            return item;
-          },
-          [&](size_t i, const mpc::BitVector& output) {
-            next_shares[roles[i].first][roles[i].second] = output;
-          },
-          /*count_rounds=*/false);
-    } else {
-      RunGrouped(static_cast<size_t>(next_groups), static_cast<size_t>(k1),
-                 [&](size_t gg, size_t mm) {
-                   int g = static_cast<int>(gg);
-                   int m = static_cast<int>(mm);
-                   int size = std::min(p, g * fanout + fanout) - g * fanout;
-                   const circuit::EvalPlan& plan = combine_plan_for(size);
-                   net::SessionId session =
-                       kAggEvalSession | (level << 32) | static_cast<uint64_t>(g);
-                   mpc::TripleSource* triples = TripleSourceFor(
-                       kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m,
-                       next_blocks[g]);
-                   mpc::GmwParty party(net_.get(), next_blocks[g], m, triples, session);
-                   next_shares[g][m] = party.Eval(plan, combine_input(g, m, next_blocks));
-                   triples_consumed_.fetch_add(plan.stats().num_and, std::memory_order_relaxed);
-                 });
-    }
+    std::vector<std::pair<int, int>> combine_roles = GroupMemberRoles(next_groups, k1);
+    RunBatchedPhase(
+        combine_roles, [&](int g, int m) { return next_blocks[g][m]; },
+        [&](int g, int m) {
+          int size = std::min(p, g * fanout + fanout) - g * fanout;
+          const circuit::EvalPlan& plan = combine_plan_for(size);
+          mpc::TripleSource* source = TripleSourceFor(
+              kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m, next_blocks[g]);
+          mpc::BatchInstance item;
+          item.plan = &plan;
+          item.parties = next_blocks[g];
+          item.my_index = m;
+          if (plan.stats().num_and > 0) {
+            item.triples = source->Generate(plan.stats().num_and);
+          }
+          item.input_shares = combine_input(g, m, next_blocks);
+          item.order_key = static_cast<uint64_t>(g);
+          return item;
+        },
+        [&](size_t i, const mpc::BitVector& output) {
+          next_shares[combine_roles[i].first][combine_roles[i].second] = output;
+        },
+        /*count_rounds=*/false);
     blocks = std::move(next_blocks);
     shares = std::move(next_shares);
     level++;
@@ -1154,13 +1083,7 @@ void Runtime::ComputePhaseEnsemble(int num_scenarios) {
   const int k1 = config_.block_size;
   const size_t num_and = update_circuit_.stats().num_and;
 
-  std::vector<std::pair<int, int>> roles;
-  roles.reserve(static_cast<size_t>(num_scenarios) * n * k1);
-  for (int g = 0; g < num_scenarios * n; g++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(g, m);
-    }
-  }
+  std::vector<std::pair<int, int>> roles = GroupMemberRoles(num_scenarios * n, k1);
   RunBatchedPhase(
       roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
       [&](int g, int m) {
@@ -1206,13 +1129,8 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
     }
   }
 
-  std::vector<std::pair<int, int>> roles;  // (scenario, member)
-  roles.reserve(static_cast<size_t>(num_scenarios) * k1);
-  for (int s = 0; s < num_scenarios; s++) {
-    for (int m = 0; m < k1; m++) {
-      roles.emplace_back(s, m);
-    }
-  }
+  // (scenario, member)
+  std::vector<std::pair<int, int>> roles = GroupMemberRoles(num_scenarios, k1);
   std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
                                                       std::vector<mpc::BitVector>(k1));
   RunBatchedPhase(

@@ -74,14 +74,7 @@ namespace dstress::core {
 
 struct RuntimeConfig {
   int block_size = 8;  // k+1
-  // Batched MPC data plane (the default): every node evaluates all of its
-  // block roles for a phase in one lockstep mpc::EvalBatchInstances call
-  // over bitsliced packed shares, instead of one task + one GmwParty per
-  // (vertex, member) role. Released figures and per-node TrafficStats are
-  // bit-identical either way (asserted in engine_test.cc); false keeps the
-  // seed one-role-per-task schedule for A/B comparison.
-  bool batch_mpc = true;
-  // With batch_mpc and dealer triples: run each batched phase as one
+  // With dealer triples: run each batched phase as one
   // lockstep task per executing node on the worker pool (the schedule OT
   // triples always use) instead of one whole-phase lockstep call on the
   // scheduler thread. Per-instance messages are identical — only which
@@ -126,9 +119,9 @@ struct RuntimeConfig {
   // pool grows past this if a single protocol group needs more.
   int max_parallel_tasks = 0;
   // Per-channel queued-byte cap forwarded to the transport
-  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. With
-  // batch_mpc on, a round's openings for every instance two nodes share
-  // coalesce onto one channel — size the cap for that sum, not for a
+  // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. A
+  // batched round's openings for every instance two nodes share coalesce
+  // onto one channel — size the cap for that sum, not for a
   // single vertex's burst (see TransportOptions).
   size_t channel_high_watermark_bytes = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
@@ -231,7 +224,7 @@ class Runtime {
   // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
   // masks, aggregation noise) reproduce the solo streams, and S == 1
   // delegates to Run() outright (bit-identical traffic included). Ensembles
-  // always use the batched planes regardless of batch_mpc/batch_transfer;
+  // always use the batched transfer plane regardless of batch_transfer;
   // S > 1 requires aggregation_fanout == 0 (flat aggregation).
   std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
                                    RunMetrics* metrics);
@@ -247,12 +240,10 @@ class Runtime {
 
  private:
   void InitPhase(const std::vector<mpc::BitVector>& initial_states);
+  // One computation step: every (vertex, member) role advances through the
+  // update circuit's AND layers in lockstep over bitsliced shares
+  // (docs/packed-eval.md).
   void ComputePhase();
-  // The two computation-step schedules (RuntimeConfig::batch_mpc): one
-  // lockstep batched evaluation per node vs one task per (vertex, member)
-  // role. Identical wire traffic; see docs/packed-eval.md.
-  void ComputePhaseBatched();
-  void ComputePhaseUnbatched();
   void CommunicatePhase();
   // The two communication-step schedules (RuntimeConfig::batch_transfer):
   // four barrier-separated sub-phases of per-edge batched crypto vs one
@@ -287,12 +278,9 @@ class Runtime {
   // make_item(g, m) builds the instance (triples prefetched inside, in
   // role order), sink(i, output) stores role i's output shares.
   //
-  // Scheduling tradeoffs (measured on the 1-core CI container; see the
-  // ROADMAP open item on multi-core policy): the single-scheduler mode
-  // trades the seed schedule's cross-block thread parallelism for maximal
-  // slicing width and zero blocking — the right trade when per-layer
-  // synchronization dominates, unproven on many-core hosts (batch_mpc =
-  // false restores the seed schedule). The OT mode needs every node's
+  // Scheduling tradeoffs: the single-scheduler mode trades cross-block
+  // thread parallelism for maximal slicing width and zero blocking — the
+  // right trade when per-layer synchronization dominates. The OT mode needs every node's
   // task live at once (the lockstep superstep argument), so the pool
   // grows to one thread per participating node — fine at the block-level
   // N the ~100x-slower OT configs are practical at, but not a schedule

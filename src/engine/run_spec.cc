@@ -152,8 +152,7 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
   // Plane knobs in effect; OT-triple runs also name the offline-phase mode
   // (docs/offline-phase.md) so reported walls are attributable. Dealer-run
   // output is unchanged.
-  std::string planes = std::string("mpc_batching=") + (spec.mpc_batching ? "on" : "off") +
-                       ", transfer_batching=" + (spec.transfer_batching ? "on" : "off");
+  std::string planes = std::string("transfer_batching=") + (spec.transfer_batching ? "on" : "off");
   if (spec.use_ot_triples) {
     planes += std::string(", triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off");
   }

@@ -158,11 +158,6 @@ struct RunSpec {
   // per-role OtTripleSource path for A/B benchmarking. No effect on dealer
   // runs.
   bool ot_batching = true;
-  // Batched MPC data plane (core::RuntimeConfig::batch_mpc): each node
-  // evaluates all its block roles per step in one lockstep bitsliced batch.
-  // Results and per-node TrafficStats are bit-identical either way; false
-  // keeps the seed one-role-per-task schedule for A/B benchmarking.
-  bool mpc_batching = true;
   // Batched transfer plane (core::RuntimeConfig::batch_transfer): per-edge
   // role work runs as batched tasks against fixed-base key tables. Wire
   // bytes, released figures, and per-node TrafficStats are bit-identical

@@ -143,47 +143,6 @@ TEST(EngineSecureModeTest, TcpTransportBitIdenticalToSimNetwork) {
   }
 }
 
-// The packed-share acceptance property: the batched bitsliced MPC data
-// plane (RunSpec::mpc_batching, the default) releases the same figure and
-// produces bit-identical per-node TrafficStats — bytes AND message counts —
-// as the seed one-role-per-task schedule. Combined with
-// TcpTransportBitIdenticalToSimNetwork (which runs the default batched path
-// over both wires), this pins the batched path to the seed path under sim
-// and tcp alike.
-TEST(EngineSecureModeTest, BatchedMpcBitIdenticalToSeedSchedule) {
-  RunSpec spec;
-  spec.topology = CorePeripheryTopology(12, 3);
-  spec.model = ContagionModel::kEisenbergNoe;
-  spec.shock.shocked_banks = {0};
-  spec.noise_alpha = 0.5;
-  spec.iterations = 2;
-  spec.block_size = 4;
-  // Tree aggregation so the batched leaf/combine stages are exercised too.
-  spec.aggregation_fanout = 3;
-  spec.seed = 5;
-
-  spec.mpc_batching = false;
-  Engine seed_engine(spec);
-  RunReport seed_report = seed_engine.Run();
-
-  spec.mpc_batching = true;
-  Engine batched_engine(spec);
-  RunReport batched_report = batched_engine.Run();
-
-  EXPECT_EQ(batched_report.released, seed_report.released);
-  EXPECT_EQ(batched_report.metrics.total_bytes, seed_report.metrics.total_bytes);
-  EXPECT_EQ(batched_report.metrics.triples_consumed, seed_report.metrics.triples_consumed);
-  ASSERT_EQ(batched_engine.transport().num_nodes(), seed_engine.transport().num_nodes());
-  for (int v = 0; v < batched_engine.transport().num_nodes(); v++) {
-    net::TrafficStats batched = batched_engine.transport().NodeStats(v);
-    net::TrafficStats seed = seed_engine.transport().NodeStats(v);
-    EXPECT_EQ(batched.bytes_sent, seed.bytes_sent) << "node " << v;
-    EXPECT_EQ(batched.bytes_received, seed.bytes_received) << "node " << v;
-    EXPECT_EQ(batched.messages_sent, seed.messages_sent) << "node " << v;
-    EXPECT_EQ(batched.messages_received, seed.messages_received) << "node " << v;
-  }
-}
-
 // The transfer-crypto-engine acceptance property: the batched transfer plane
 // (RunSpec::transfer_batching, the default — fixed-base key tables, batched
 // bundle encryption, per-edge batched role tasks) releases the same figure
@@ -232,8 +191,7 @@ TEST(EngineSecureModeTest, BatchedTransferBitIdenticalToSeedSchedule) {
 
 // Layer batching is what keeps GMW round count equal to the circuit's AND
 // depth (the paper's linearity argument); the metrics surface both so any
-// regression in the batched exchange schedule fails loudly. Both schedules
-// must report rounds == depth.
+// regression in the batched exchange schedule fails loudly.
 TEST(EngineSecureModeTest, MpcRoundsEqualUpdateCircuitAndDepth) {
   RunSpec spec;
   spec.topology = CorePeripheryTopology(8, 3);
@@ -243,14 +201,10 @@ TEST(EngineSecureModeTest, MpcRoundsEqualUpdateCircuitAndDepth) {
   spec.iterations = 1;
   spec.block_size = 3;
   spec.seed = 2;
-  for (bool batching : {true, false}) {
-    spec.mpc_batching = batching;
-    RunReport report = Engine(spec).Run();
-    EXPECT_GT(report.metrics.update_and_depth, 0u);
-    EXPECT_EQ(report.metrics.update_rounds, report.metrics.update_and_depth)
-        << "batching=" << batching;
-    EXPECT_GT(report.metrics.triples_consumed, 0u);
-  }
+  RunReport report = Engine(spec).Run();
+  EXPECT_GT(report.metrics.update_and_depth, 0u);
+  EXPECT_EQ(report.metrics.update_rounds, report.metrics.update_and_depth);
+  EXPECT_GT(report.metrics.triples_consumed, 0u);
 }
 
 // (b) Cleartext mode evaluates the same circuits the MPC would, so with

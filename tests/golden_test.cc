@@ -516,17 +516,6 @@ TEST(GoldenLegacyTest, ContainerCleartextPlane) {
   }
 }
 
-TEST(GoldenLegacyTest, UnbatchedMpcSchedule) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  for (const Case& c : SecureDealerCases()) {
-    RunSpec spec = c.spec;
-    spec.mpc_batching = false;
-    CheckGolden(c.name, ObserveRun(spec), "mpc_batching=false");
-  }
-}
-
 TEST(GoldenLegacyTest, UnbatchedTransferSchedule) {
   if (g_regen) {
     GTEST_SKIP() << "variants are checked, not recorded";
