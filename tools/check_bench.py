@@ -12,11 +12,13 @@ With --ensemble-min-speedup the gate additionally pins the scenario-ensemble
 amortization: every `cleartext-ensemble` row (wall_ms vs wall_ms_baseline =
 K independent solo runs) must be at or above that floor.
 
-With --ot-min-speedup the gate additionally pins the batched offline phase
-(docs/offline-phase.md): every `secure-ot` row (wall_ms = node-pair triple
-factory run, wall_ms_baseline = per-role IKNP baseline in the same run) must
-be at or above that floor. The rows' base_ot_count / base_ot_count_baseline
-and offline/overlap walls are printed as informational columns.
+The offline phase (docs/offline-phase.md) has absolute gates over the
+`secure-ot` rows (real IKNP runs through the node-pair triple factory):
+--ot-base-ots-per-pair C requires base_ot_count <= C * N(N-1)/2, i.e. at
+most C base-OT executions per node pair (4 = one setup per direction, both
+endpoints counted), and --ot-max-wall-ms N=MS[,N=MS...] caps each listed
+N's wall_ms. A secure-ot row whose N has no budget is SKIPPED by name. The
+rows' offline/overlap walls are printed as informational columns.
 
 With --cleartext-max-wall-ms the gate additionally pins the flat-arena graph
 plane's headline (ROADMAP item 3): every `cleartext` row with N >= 1,000,000
@@ -36,7 +38,8 @@ heartbeat/control traffic, checkpoint wall time — and are never gated.
 Usage: tools/check_bench.py BENCH_fig6.json [--min-speedup 5.0]
                                             [--mode secure-projected]
                                             [--ensemble-min-speedup 10.0]
-                                            [--ot-min-speedup 3.0]
+                                            [--ot-base-ots-per-pair 4]
+                                            [--ot-max-wall-ms 10=900,20=3000]
                                             [--cleartext-max-wall-ms 10000]
 Exit status 0 = every gated row at or above its floor; nonzero prints each
 offending row. Stdlib only.
@@ -83,6 +86,55 @@ def gate_rows(rows, mode, floor):
     return failures, skips, worst
 
 
+def parse_wall_budgets(text):
+    """Parses 'N=MS[,N=MS...]' into {N: MS}."""
+    budgets = {}
+    for item in text.split(","):
+        n, sep, ms = item.partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"expected N=MS, got {item!r}")
+        budgets[int(n)] = float(ms)
+    return budgets
+
+
+def gate_ot_rows(rows, per_pair, wall_budgets):
+    """Absolute offline-phase gates; returns (failure_lines, info_lines)."""
+    failures = []
+    info = []
+    for e in rows:
+        n = e.get("N")
+        wall = e.get("wall_ms")
+        base_ots = e.get("base_ot_count")
+        if not is_number(n) or not is_number(wall) or wall <= 0:
+            failures.append(f"FAIL: {row_name(e, 'secure-ot')}: malformed N/wall_ms")
+            continue
+        if per_pair is not None:
+            limit = per_pair * n * (n - 1) / 2
+            if not is_number(base_ots):
+                failures.append(f"FAIL: {row_name(e, 'secure-ot')}: "
+                                f"malformed base_ot_count {base_ots!r}")
+            elif base_ots > limit:
+                failures.append(f"FAIL: {row_name(e, 'secure-ot')}: "
+                                f"{base_ots:.0f} base OTs > {limit:.0f} "
+                                f"({per_pair:g} per node pair)")
+            else:
+                info.append(f"ot: N={n} base OTs {base_ots:.0f} <= {limit:.0f}")
+        if wall_budgets is not None:
+            budget = wall_budgets.get(int(n))
+            if budget is None:
+                info.append(f"SKIP: {row_name(e, 'secure-ot')}: no wall budget "
+                            "for this N; wall not gated")
+            elif wall > budget:
+                failures.append(f"FAIL: {row_name(e, 'secure-ot')}: "
+                                f"{wall:.0f} ms > {budget:.0f} ms budget")
+            else:
+                info.append(f"ot: N={n} wall {wall:.0f} ms <= {budget:.0f} ms budget")
+        info.append(f"ot: N={n} offline {e.get('offline_ms', 0):.0f} ms, "
+                    f"{e.get('overlap_ms', 0):.0f} ms overlapped with the online "
+                    "phase (informational, not gated)")
+    return failures, info
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json", help="path to BENCH_fig6.json")
@@ -93,9 +145,12 @@ def main() -> int:
     parser.add_argument("--ensemble-min-speedup", type=float, default=None,
                         help="when set, also gate 'cleartext-ensemble' rows "
                              "(wall vs K solo runs) at this amortization floor")
-    parser.add_argument("--ot-min-speedup", type=float, default=None,
-                        help="when set, also gate 'secure-ot' rows (triple "
-                             "factory vs per-role IKNP baseline) at this floor")
+    parser.add_argument("--ot-base-ots-per-pair", type=float, default=None,
+                        help="when set, every 'secure-ot' row must have "
+                             "base_ot_count <= this * N(N-1)/2")
+    parser.add_argument("--ot-max-wall-ms", type=parse_wall_budgets, default=None,
+                        help="N=MS[,N=MS...]: wall-clock budget (ms) for the "
+                             "'secure-ot' row of each listed N")
     parser.add_argument("--cleartext-max-wall-ms", type=float, default=None,
                         help="when set, every 'cleartext' row with N >= 1e6 "
                              "must finish within this wall-clock budget (ms)")
@@ -146,28 +201,16 @@ def main() -> int:
                              f"{speedup:.2f}x amortization at N={e.get('N')} "
                              f"K={e.get('scenarios')} scenarios")
 
-    if args.ot_min_speedup is not None:
+    if args.ot_base_ots_per_pair is not None or args.ot_max_wall_ms is not None:
         ot_rows = [e for e in entries if e.get("mode") == "secure-ot"]
         if not ot_rows:
             failures.append(f"FAIL: no 'secure-ot' entries in "
                             f"{args.bench_json} (OT gate requested)")
         else:
-            ot_failures, ot_skips, ot_worst = gate_rows(
-                ot_rows, "secure-ot", args.ot_min_speedup)
+            ot_failures, ot_info = gate_ot_rows(
+                ot_rows, args.ot_base_ots_per_pair, args.ot_max_wall_ms)
             failures += ot_failures
-            skips += ot_skips
-            for e in ot_rows:
-                if is_number(e.get("base_ot_count")):
-                    print(f"ot: N={e.get('N')} base OTs "
-                          f"{e['base_ot_count']:.0f} (factory) vs "
-                          f"{e.get('base_ot_count_baseline', 0):.0f} (per-role), "
-                          f"offline {e.get('offline_ms', 0):.0f} ms, "
-                          f"{e.get('overlap_ms', 0):.0f} ms overlapped with the "
-                          "online phase (informational, not gated)")
-            if ot_worst is not None:
-                e, speedup = ot_worst
-                skips.append(f"ot: {len(ot_rows)} rows, worst {speedup:.2f}x "
-                             f"factory speedup at N={e.get('N')}")
+            skips += ot_info
 
     # Absolute wall-clock budget for the arena graph plane's large-N sweep
     # point (ROADMAP item 3: N=1M in single-digit seconds).
