@@ -261,8 +261,9 @@ std::vector<RoleRow> BenchRoles(int block_size) {
   return rows;
 }
 
-// §5.2 end-to-end single-message transfer through the real role tasks and a
-// sim transport, per block size (the paper's 285 ms .. 610 ms curve).
+// §5.2 end-to-end single-message transfer over a sim transport, one thread
+// per protocol role, each running its step of the wire engine, per block
+// size (the paper's 285 ms .. 610 ms curve).
 double SingleTransferMs(int block_size) {
   constexpr int kBits = 12;
   auto prg = crypto::ChaCha20Prg::FromSeed(77);
@@ -290,30 +291,10 @@ double SingleTransferMs(int block_size) {
     members_i.push_back(2 + m);
     members_j.push_back(2 + block_size + m);
   }
+  transfer::EvenNoiseCache noise(table.range());
   Stopwatch timer;
-  std::vector<std::thread> threads;
-  for (int x = 0; x < block_size; x++) {
-    threads.emplace_back([&, x] {
-      auto role_prg = crypto::ChaCha20Prg::FromSeed(100 + x);
-      transfer::RunSenderMember(&net, members_i[x], 0, 1, shares[x], cert, role_prg);
-    });
-  }
-  threads.emplace_back([&] {
-    auto role_prg = crypto::ChaCha20Prg::FromSeed(200);
-    transfer::RunSourceEndpoint(&net, 0, members_i, 1, 1, params, role_prg);
-  });
-  threads.emplace_back(
-      [&] { transfer::RunDestEndpoint(&net, 1, 0, members_j, 1, neighbor_key, params); });
-  std::vector<mpc::BitVector> received(block_size);
-  for (int y = 0; y < block_size; y++) {
-    threads.emplace_back([&, y] {
-      received[y] = transfer::RunReceiverMember(&net, members_j[y], 1, 1, dest_keys.members[y],
-                                                table, params);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
+  std::vector<mpc::BitVector> received = RunOneTransfer(
+      net, params, cert, dest_keys, neighbor_key, table, noise, shares, members_i, members_j);
   double ms = timer.ElapsedSeconds() * 1e3;
   DSTRESS_CHECK(mpc::ReconstructBits(received) == message);
   return ms;
@@ -338,7 +319,7 @@ void Run() {
                 r.baseline_us / r.us);
   }
 
-  std::printf("\n# §5.2 single 12-bit message transfer, seed role tasks over sim transport\n");
+  std::printf("\n# §5.2 single 12-bit message transfer, one role per thread over sim transport\n");
   std::printf("# (paper: 285 ms at block 8 .. 610 ms at block 20)\n");
   std::printf("%12s %12s\n", "block", "ms");
   std::vector<int> block_sizes =

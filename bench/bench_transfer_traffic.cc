@@ -12,10 +12,8 @@
 // size with measured per-role byte counts.
 
 #include <cstdio>
-#include <thread>
 
 #include "bench/bench_util.h"
-#include "src/transfer/transfer.h"
 
 namespace dstress::bench {
 namespace {
@@ -49,28 +47,9 @@ void Run() {
       members_i.push_back(2 + m);
       members_j.push_back(2 + block_size + m);
     }
-    std::vector<std::thread> threads;
-    for (int x = 0; x < block_size; x++) {
-      threads.emplace_back([&, x] {
-        auto role_prg = crypto::ChaCha20Prg::FromSeed(100 + x);
-        transfer::RunSenderMember(&net, members_i[x], 0, 1, shares[x], cert, role_prg);
-      });
-    }
-    threads.emplace_back([&] {
-      auto role_prg = crypto::ChaCha20Prg::FromSeed(200);
-      transfer::RunSourceEndpoint(&net, 0, members_i, 1, 1, params, role_prg);
-    });
-    threads.emplace_back(
-        [&] { transfer::RunDestEndpoint(&net, 1, 0, members_j, 1, neighbor_key, params); });
-    for (int y = 0; y < block_size; y++) {
-      threads.emplace_back([&, y] {
-        transfer::RunReceiverMember(&net, members_j[y], 1, 1, dest_keys.members[y], table,
-                                    params);
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
+    transfer::EvenNoiseCache noise(table.range());
+    RunOneTransfer(net, params, cert, dest_keys, neighbor_key, table, noise, shares, members_i,
+                   members_j);
 
     std::printf("%-10d %13.1f kB %13.1f kB %11.1f kB %13.2f kB\n", block_size,
                 net.NodeStats(0).bytes_received / 1e3,

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/circuit/circuit.h"
+#include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/finance/eisenberg_noe.h"
 #include "src/finance/elliott_golub_jackson.h"
@@ -20,6 +21,8 @@
 #include "src/mpc/sharing.h"
 #include "src/mpc/triples.h"
 #include "src/net/transport_spec.h"
+#include "src/transfer/batch_engine.h"
+#include "src/transfer/transfer.h"
 
 namespace dstress::bench {
 
@@ -78,6 +81,59 @@ inline BlockMpcResult RunBlockMpc(const circuit::Circuit& circuit, int block_siz
 }
 
 // The figure benches' fixed-point format (the prototype's 12-bit shares).
+// One §3.5 message transfer over `net`: node 0 is the source endpoint i,
+// node 1 the destination endpoint j, `members_i` / `members_j` the two
+// blocks, shares[x] member x's share of the message. One thread per
+// protocol role, each running its step of the wire engine
+// (transfer/batch_engine.h) on the runtime's sub-sessions. Returns the
+// receivers' new shares.
+inline std::vector<mpc::BitVector> RunOneTransfer(
+    net::Transport& net, const transfer::TransferParams& params,
+    const transfer::BlockCertificate& cert, const transfer::BlockKeys& dest_keys,
+    const crypto::U256& neighbor_key, const crypto::DlogTable& table,
+    const transfer::EvenNoiseCache& noise, const std::vector<mpc::BitVector>& shares,
+    const std::vector<net::NodeId>& members_i, const std::vector<net::NodeId>& members_j) {
+  const int block_size = params.block_size;
+  auto sub = [](int step) { return transfer::TransferSubSession(1, step); };
+  std::vector<std::thread> threads;
+  for (int x = 0; x < block_size; x++) {
+    threads.emplace_back([&, x] {
+      std::vector<crypto::ChaCha20Prg> role_prg = {crypto::ChaCha20Prg::FromSeed(100 + x)};
+      std::vector<Bytes> bundle = transfer::EncryptSubsharesWire({shares[x]}, cert, role_prg);
+      net.Send(members_i[x], 0, std::move(bundle[0]), sub(0));
+    });
+  }
+  threads.emplace_back([&] {
+    std::vector<Bytes> bundles;
+    for (net::NodeId member : members_i) {
+      bundles.push_back(net.Recv(0, member, sub(0)));
+    }
+    auto role_prg = crypto::ChaCha20Prg::FromSeed(200);
+    net.Send(0, 1, transfer::AggregateSubsharesWire(bundles, params, role_prg, noise), sub(1));
+  });
+  threads.emplace_back([&] {
+    std::vector<Bytes> columns =
+        transfer::AdjustAndSplitWire(net.Recv(1, 0, sub(1)), neighbor_key, params);
+    for (int y = 0; y < block_size; y++) {
+      net.Send(1, members_j[y], std::move(columns[y]), sub(2));
+    }
+  });
+  std::vector<mpc::BitVector> received(block_size);
+  for (int y = 0; y < block_size; y++) {
+    threads.emplace_back([&, y] {
+      std::vector<mpc::BitVector> share;
+      DSTRESS_CHECK(transfer::RecoverSharesWire({net.Recv(members_j[y], 1, sub(2))},
+                                                {&dest_keys.members[y]}, table, params,
+                                                &share));
+      received[y] = share[0];
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  return received;
+}
+
 inline finance::FixedPointFormat BenchFormat() {
   finance::FixedPointFormat format;
   format.value_bits = 12;

@@ -97,6 +97,13 @@ struct LineParser {
   }
 };
 
+// Directives that chose between two implementations of one data plane.
+// Each plane has a single implementation now; naming one of these is an
+// error rather than a silently ignored line.
+bool IsRemovedDirective(const std::string& directive) {
+  return directive == "transfer_batching";
+}
+
 }  // namespace
 
 std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::string* error) {
@@ -126,6 +133,11 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
     }
     const std::string& directive = p.tokens[0];
 
+    if (IsRemovedDirective(directive)) {
+      p.Fail("directive '" + directive +
+             "' was removed: its plane has one implementation now (see CHANGES.md)");
+      return std::nullopt;
+    }
     if (directive == "network") {
       if (p.tokens.size() < 2) {
         p.Fail("network needs a topology");
@@ -533,20 +545,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         }
       } else {
         p.Fail("unknown ensemble sub-directive '" + sub + "'");
-        return std::nullopt;
-      }
-    } else if (directive == "transfer_batching") {
-      // A/B knob for the batched transfer crypto engine; results and traffic
-      // are bit-identical either way, only CPU time differs.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "on") {
-        spec.transfer_batching = true;
-      } else if (p.tokens[1] == "off") {
-        spec.transfer_batching = false;
-      } else {
-        p.Fail("transfer_batching must be 'on' or 'off'");
         return std::nullopt;
       }
     } else if (directive == "triples") {

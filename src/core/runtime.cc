@@ -546,21 +546,11 @@ void Runtime::ComputePhase() {
       /*count_rounds=*/true);
 }
 
-void Runtime::CommunicatePhase() {
-  if (config_.batch_transfer) {
-    CommunicatePhaseBatched(/*scenario=*/0);
-  } else {
-    CommunicatePhaseUnbatched();
-  }
-}
-
-// Batched schedule: the step's per-edge role work runs through the wire-
-// level batch engine (transfer/batch_engine.h) in four barrier-separated
-// sub-phases — senders, source endpoints, dest endpoints, receivers — so
-// every Recv is satisfied by a Send from an earlier sub-phase and no task
-// ever parks on a peer. Messages, sessions and byte counts are identical to
-// the unbatched schedule; only the CPU cost per role changes.
-void Runtime::CommunicatePhaseBatched(int scenario) {
+// The step's per-edge role work runs through the wire-level batch engine
+// (transfer/batch_engine.h) in four barrier-separated sub-phases — senders,
+// source endpoints, dest endpoints, receivers — so every Recv is satisfied
+// by a Send from an earlier sub-phase and no task ever parks on a peer.
+void Runtime::CommunicatePhase(int scenario) {
   int k1 = config_.block_size;
   const int n = graph_.num_vertices();
   // Ensemble lane (scenario > 0): shares live at flat index s*n + v, and
@@ -650,45 +640,6 @@ void Runtime::CommunicatePhaseBatched(int scenario) {
     DSTRESS_CHECK(ok);
     for (int y = 0; y < k1; y++) {
       inmsg_shares_[vertex_offset + j][in_slot][y] = std::move(shares[y]);
-    }
-  });
-}
-
-void Runtime::CommunicatePhaseUnbatched() {
-  int k1 = config_.block_size;
-  size_t roles_per_edge = static_cast<size_t>(2 * k1 + 2);
-
-  RunGrouped(edges_.size(), roles_per_edge, [&](size_t e, size_t role_s) {
-    int role = static_cast<int>(role_s);
-    auto [i, j] = edges_[e];
-    net::SessionId session = kTransferSession | e;
-    int out_slot = SlotOf(graph_.OutNeighbors(i), j);
-    int in_slot = SlotOf(graph_.InNeighbors(j), i);
-
-    if (role < k1) {
-      // Sender member `role` of B_i.
-      int member_node = setup_.blocks[i][role];
-      auto prg = RolePrg(0x22, (e << 8) | static_cast<uint64_t>(role));
-      transfer::RunSenderMember(net_.get(), member_node, i, session,
-                                outmsg_shares_[i][out_slot][role],
-                                setup_.edge_certificates.at({i, j}), prg);
-    } else if (role == k1) {
-      // Node i: aggregation + masking noise.
-      std::vector<int> member_nodes = setup_.blocks[i];
-      auto prg = RolePrg(0x33, e);
-      transfer::RunSourceEndpoint(net_.get(), i, member_nodes, j, session, transfer_params_, prg);
-    } else if (role == k1 + 1) {
-      // Node j: ephemeral adjustment + fan-out.
-      transfer::RunDestEndpoint(net_.get(), j, i, setup_.blocks[j], session,
-                                setup_.neighbor_keys[j][in_slot], transfer_params_);
-    } else {
-      // Receiver member of B_j.
-      int y = role - (k1 + 2);
-      int member_node = setup_.blocks[j][y];
-      inmsg_shares_[j][in_slot][y] =
-          transfer::RunReceiverMember(net_.get(), member_node, j, session,
-                                      setup_.node_keys[member_node], *dlog_table_,
-                                      transfer_params_);
     }
   });
 }
@@ -985,7 +936,7 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    CommunicatePhase();
+    CommunicatePhase(/*scenario=*/0);
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
@@ -1032,7 +983,7 @@ int64_t Runtime::Run(const std::vector<mpc::BitVector>& initial_states, RunMetri
 // S scenarios advance in lockstep as extra lanes of the batched planes:
 // role (s, v) lives at flat share index s*n + v, compute phases batch all
 // S*n vertex instances into one EvalBatchInstances pass, transfers reuse the
-// scenario-salted CommunicatePhaseBatched, and a single batched aggregation
+// scenario-salted CommunicatePhase, and a single batched aggregation
 // opens S noised figures. Scenario s's released figure equals
 // Run(initial_states[s]): init-share and transfer randomness cancel out of
 // opened values, and the aggregation noise is drawn from the same
@@ -1260,7 +1211,7 @@ std::vector<int64_t> Runtime::RunEnsemble(
 
     phase.Reset();
     for (int s = 0; s < num_scenarios; s++) {
-      CommunicatePhaseBatched(s);
+      CommunicatePhase(s);
     }
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;

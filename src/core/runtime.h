@@ -82,14 +82,6 @@ struct RuntimeConfig {
   // benchmarked as the lockstep-per-node vs hybrid A/B in
   // bench_fig6_scalability.
   bool batch_mpc_per_node = false;
-  // Batched transfer data plane (the default): every edge's sender/source/
-  // dest/receiver role work runs as per-edge batched tasks over the
-  // fixed-base/batch-affine crypto engine (src/transfer/batch_engine.h)
-  // instead of one task + one pure-scheme call per role. Wire bytes,
-  // released figures and per-node TrafficStats are bit-identical either way
-  // (asserted in transfer_test.cc/engine_test.cc); false keeps the seed
-  // schedule for A/B comparison. See docs/transfer-crypto.md.
-  bool batch_transfer = true;
   // Transfer-protocol noise and lookup parameters (production-scale alpha
   // needs the paper's 8 GB lookup table; defaults are test-scale).
   double transfer_budget_alpha = 0.9;
@@ -223,8 +215,7 @@ class Runtime {
   // aggregates are opened. Scenario s's figure is identical to
   // Run(initial_states[s]): per-scenario PRG roles (init shares, transfer
   // masks, aggregation noise) reproduce the solo streams, and S == 1
-  // delegates to Run() outright (bit-identical traffic included). Ensembles
-  // always use the batched transfer plane regardless of batch_transfer;
+  // delegates to Run() outright (bit-identical traffic included).
   // S > 1 requires aggregation_fanout == 0 (flat aggregation).
   std::vector<int64_t> RunEnsemble(const std::vector<std::vector<mpc::BitVector>>& initial_states,
                                    RunMetrics* metrics);
@@ -244,14 +235,10 @@ class Runtime {
   // update circuit's AND layers in lockstep over bitsliced shares
   // (docs/packed-eval.md).
   void ComputePhase();
-  void CommunicatePhase();
-  // The two communication-step schedules (RuntimeConfig::batch_transfer):
-  // four barrier-separated sub-phases of per-edge batched crypto vs one
-  // task per transfer role. Identical wire traffic; docs/transfer-crypto.md.
-  // `scenario` selects the ensemble lane (0 = the solo run: sessions and
-  // PRG instances are then exactly the seed schedule's).
-  void CommunicatePhaseBatched(int scenario);
-  void CommunicatePhaseUnbatched();
+  // One communication step: four barrier-separated sub-phases of per-edge
+  // batched transfer crypto (docs/transfer-crypto.md). `scenario` selects
+  // the ensemble lane (0 = the solo run).
+  void CommunicatePhase(int scenario);
   int64_t AggregatePhase();
   int64_t AggregateSingleLevel();
   int64_t AggregateTree();

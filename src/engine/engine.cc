@@ -29,7 +29,6 @@ core::RuntimeConfig DeriveRuntimeConfig(const RunSpec& spec) {
   config.channel_high_watermark_bytes = spec.channel_high_watermark_bytes;
   config.transport = spec.transport;
   config.batch_mpc_per_node = spec.mpc_per_node_schedule;
-  config.batch_transfer = spec.transfer_batching;
   config.seed = spec.seed;
   config.checkpoint_every = spec.ha_checkpoint_every;
   config.checkpoint_path = spec.ha_checkpoint_path;

@@ -149,19 +149,18 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                 "%llu triples consumed\n",
                 report.metrics.update_and_gates, report.metrics.update_and_depth,
                 static_cast<unsigned long long>(report.metrics.triples_consumed));
-  // Plane knobs in effect; OT-triple runs also name the offline-phase mode
-  // (docs/offline-phase.md) so reported walls are attributable. Dealer-run
-  // output is unchanged.
-  std::string planes = std::string("transfer_batching=") + (spec.transfer_batching ? "on" : "off");
+  // OT-triple runs name the offline-phase mode (docs/offline-phase.md) so
+  // reported walls are attributable.
+  std::string planes;
   if (spec.use_ot_triples) {
-    planes += std::string(", triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off");
+    planes = std::string(" (triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off") + ")";
   }
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
       "model:               %s\n"
       "mode:                %s\n"
-      "transport:           %s (%s)\n"
+      "transport:           %s%s\n"
       "banks:               %d (block size %d, %d iterations)\n"
       "shocked banks:       %zu\n"
       "%s"

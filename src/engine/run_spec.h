@@ -158,11 +158,6 @@ struct RunSpec {
   // per-role OtTripleSource path for A/B benchmarking. No effect on dealer
   // runs.
   bool ot_batching = true;
-  // Batched transfer plane (core::RuntimeConfig::batch_transfer): per-edge
-  // role work runs as batched tasks against fixed-base key tables. Wire
-  // bytes, released figures, and per-node TrafficStats are bit-identical
-  // either way; false keeps the seed per-role schedule for A/B benchmarking.
-  bool transfer_batching = true;
   // Flat-arena cleartext graph plane (src/graphplane, docs/graph-plane.md):
   // contiguous bitsliced state/message arenas plus an active-vertex
   // frontier. Released figures, per-vertex states and per-node TrafficStats

@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/dp/edge_privacy.h"
 #include "src/dp/samplers.h"
-#include "src/net/channel.h"
 
 namespace dstress::transfer {
 
@@ -293,59 +292,6 @@ bool RecoverShare(const MemberColumn& column, const MemberKeys& my_keys,
     (*share_out)[b] = static_cast<uint8_t>(((sum % 2) + 2) % 2);
   }
   return true;
-}
-
-void RunSenderMember(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     net::SessionId session, const mpc::BitVector& share_bits,
-                     const BlockCertificate& cert, crypto::ChaCha20Prg& prg) {
-  SubshareBundle bundle = EncryptSubshares(share_bits, cert, prg);
-  net->Send(self, node_i, bundle.Serialize(), TransferSubSession(session, 0));
-}
-
-void RunSourceEndpoint(net::Transport* net, net::NodeId self,
-                       const std::vector<net::NodeId>& members, net::NodeId node_j,
-                       net::SessionId session, const TransferParams& params,
-                       crypto::ChaCha20Prg& prg) {
-  std::vector<SubshareBundle> bundles;
-  bundles.reserve(members.size());
-  for (net::NodeId member : members) {
-    Bytes raw = net->Recv(self, member, TransferSubSession(session, 0));
-    bundles.push_back(SubshareBundle::Deserialize(raw, params.block_size, params.message_bits));
-  }
-  AggregatedColumns agg = AggregateSubshares(bundles, params, prg);
-  net->Send(self, node_j, agg.Serialize(), TransferSubSession(session, 1));
-}
-
-void RunDestEndpoint(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     const std::vector<net::NodeId>& members, net::SessionId session,
-                     const crypto::U256& neighbor_key, const TransferParams& params) {
-  Bytes raw = net->Recv(self, node_i, TransferSubSession(session, 1));
-  AggregatedColumns agg =
-      AggregatedColumns::Deserialize(raw, params.block_size, params.message_bits);
-  AggregatedColumns adjusted = AdjustAggregated(agg, neighbor_key);
-  DSTRESS_CHECK(members.size() == adjusted.c2.size());
-  // Fan out through a channel endpoint: serialize every member's column
-  // before the first delivery, then flush the whole burst.
-  net::Channel fanout(net, self, members, TransferSubSession(session, 2));
-  for (size_t y = 0; y < members.size(); y++) {
-    MemberColumn column{adjusted.c1, adjusted.c2[y]};
-    fanout.Send(members[y], column.Serialize());
-  }
-  fanout.Flush();
-}
-
-mpc::BitVector RunReceiverMember(net::Transport* net, net::NodeId self, net::NodeId node_j,
-                                 net::SessionId session, const MemberKeys& my_keys,
-                                 const crypto::DlogTable& table, const TransferParams& params) {
-  Bytes raw = net->Recv(self, node_j, TransferSubSession(session, 2));
-  MemberColumn column = MemberColumn::Deserialize(raw, params.message_bits);
-  mpc::BitVector share;
-  bool ok = RecoverShare(column, my_keys, table, &share);
-  // A lookup failure is the Appendix B P_fail event; parameters are chosen
-  // so its probability is negligible (about once in ten years for the
-  // production configuration), so the runtime treats it as fatal.
-  DSTRESS_CHECK(ok);
-  return share;
 }
 
 }  // namespace dstress::transfer

@@ -168,7 +168,7 @@ AggregatedColumns AdjustAggregated(const AggregatedColumns& agg, const crypto::U
 bool RecoverShare(const MemberColumn& column, const MemberKeys& my_keys,
                   const crypto::DlogTable& table, mpc::BitVector* share_out);
 
-// --- networked roles (used by the runtime) ----------------------------------
+// --- wire sessions -----------------------------------------------------------
 
 // The three wire steps of one edge transfer run on distinct sub-sessions of
 // the caller's session id, because one physical node can simultaneously be
@@ -178,23 +178,6 @@ bool RecoverShare(const MemberColumn& column, const MemberKeys& my_keys,
 inline net::SessionId TransferSubSession(net::SessionId base, int step) {
   return base | (static_cast<net::SessionId>(step + 1) << 56);
 }
-
-void RunSenderMember(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     net::SessionId session, const mpc::BitVector& share_bits,
-                     const BlockCertificate& cert, crypto::ChaCha20Prg& prg);
-
-void RunSourceEndpoint(net::Transport* net, net::NodeId self,
-                       const std::vector<net::NodeId>& members, net::NodeId node_j,
-                       net::SessionId session, const TransferParams& params,
-                       crypto::ChaCha20Prg& prg);
-
-void RunDestEndpoint(net::Transport* net, net::NodeId self, net::NodeId node_i,
-                     const std::vector<net::NodeId>& members, net::SessionId session,
-                     const crypto::U256& neighbor_key, const TransferParams& params);
-
-mpc::BitVector RunReceiverMember(net::Transport* net, net::NodeId self, net::NodeId node_j,
-                                 net::SessionId session, const MemberKeys& my_keys,
-                                 const crypto::DlogTable& table, const TransferParams& params);
 
 }  // namespace dstress::transfer
 

@@ -26,7 +26,6 @@ leverage 0.2
 shock 0 1 2
 triples ot
 ot_batching off
-transfer_batching off
 graph_plane legacy
 early_exit on
 seed 99
@@ -48,7 +47,6 @@ seed 99
   EXPECT_EQ(spec->shock.shocked_banks, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(spec->use_ot_triples);
   EXPECT_FALSE(spec->ot_batching);
-  EXPECT_FALSE(spec->transfer_batching);
   EXPECT_FALSE(spec->cleartext_arena);
   EXPECT_TRUE(spec->cleartext_early_exit);
   EXPECT_EQ(spec->seed, 99u);
@@ -66,7 +64,6 @@ TEST(ScenarioParseTest, DefaultsApply) {
   EXPECT_EQ(spec->aggregation_fanout, 0);
   EXPECT_FALSE(spec->use_ot_triples);
   EXPECT_TRUE(spec->ot_batching);
-  EXPECT_TRUE(spec->transfer_batching);
   EXPECT_TRUE(spec->cleartext_arena);
   EXPECT_FALSE(spec->cleartext_early_exit);
 }
@@ -85,6 +82,20 @@ edge 2 3
   EXPECT_EQ(g.num_edges(), 3);
   EXPECT_TRUE(g.HasEdge(0, 1));
   EXPECT_FALSE(g.HasEdge(1, 0));
+}
+
+// Directives that selected a deleted twin implementation fail by name and
+// point the user at the changelog instead of being silently ignored.
+TEST(ScenarioParseTest, RemovedDirectivesFailByName) {
+  for (const char* line : {"transfer_batching off"}) {
+    std::string error;
+    auto spec = ParseScenario(std::string("network scale_free 20 2\n") + line + "\n", &error);
+    EXPECT_FALSE(spec.has_value()) << line;
+    const std::string name = std::string(line).substr(0, std::string(line).find(' '));
+    EXPECT_NE(error.find("line 2: directive '" + name + "' was removed"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("CHANGES.md"), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
@@ -119,7 +130,6 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
       {"network scale_free 20 2\nfanout 1\n", "fanout must be 0"},
       {"network scale_free 20 2\ndegree_cap 0\n", "bad integer"},
       {"network scale_free 20 2\nfrobnicate 1\n", "unknown directive"},
-      {"network scale_free 20 2\ntransfer_batching maybe\n", "transfer_batching must be"},
       {"network scale_free 20 2\ntriples maybe\n", "triples must be"},
       {"network scale_free 20 2\not_batching maybe\n", "ot_batching must be"},
       {"network scale_free 20 2\ntriples ot\nha checkpoint_every 1\n",

@@ -143,52 +143,6 @@ TEST(EngineSecureModeTest, TcpTransportBitIdenticalToSimNetwork) {
   }
 }
 
-// The transfer-crypto-engine acceptance property: the batched transfer plane
-// (RunSpec::transfer_batching, the default — fixed-base key tables, batched
-// bundle encryption, per-edge batched role tasks) releases the same figure
-// and produces bit-identical per-node TrafficStats as the seed per-role
-// transfer schedule, over the sim wire and the tcp wire alike.
-TEST(EngineSecureModeTest, BatchedTransferBitIdenticalToSeedSchedule) {
-  RunSpec base;
-  base.topology = CorePeripheryTopology(12, 3);
-  base.model = ContagionModel::kEisenbergNoe;
-  base.shock.shocked_banks = {0};
-  base.noise_alpha = 0.5;
-  base.iterations = 2;
-  base.block_size = 4;
-  base.aggregation_fanout = 3;
-  base.seed = 5;
-
-  for (const char* backend : {"sim", "tcp"}) {
-    RunSpec spec = base;
-    spec.transport.backend = backend;
-
-    spec.transfer_batching = false;
-    Engine seed_engine(spec);
-    RunReport seed_report = seed_engine.Run();
-    std::vector<net::TrafficStats> seed_stats;
-    for (int v = 0; v < seed_engine.transport().num_nodes(); v++) {
-      seed_stats.push_back(seed_engine.transport().NodeStats(v));
-    }
-
-    spec.transfer_batching = true;
-    Engine batched_engine(spec);
-    RunReport batched_report = batched_engine.Run();
-
-    EXPECT_EQ(batched_report.released, seed_report.released) << backend;
-    EXPECT_EQ(batched_report.metrics.total_bytes, seed_report.metrics.total_bytes) << backend;
-    ASSERT_EQ(batched_engine.transport().num_nodes(), static_cast<int>(seed_stats.size()));
-    for (int v = 0; v < batched_engine.transport().num_nodes(); v++) {
-      net::TrafficStats batched = batched_engine.transport().NodeStats(v);
-      const net::TrafficStats& seed = seed_stats[v];
-      EXPECT_EQ(batched.bytes_sent, seed.bytes_sent) << backend << " node " << v;
-      EXPECT_EQ(batched.bytes_received, seed.bytes_received) << backend << " node " << v;
-      EXPECT_EQ(batched.messages_sent, seed.messages_sent) << backend << " node " << v;
-      EXPECT_EQ(batched.messages_received, seed.messages_received) << backend << " node " << v;
-    }
-  }
-}
-
 // Layer batching is what keeps GMW round count equal to the circuit's AND
 // depth (the paper's linearity argument); the metrics surface both so any
 // regression in the batched exchange schedule fails loudly.

@@ -516,17 +516,6 @@ TEST(GoldenLegacyTest, ContainerCleartextPlane) {
   }
 }
 
-TEST(GoldenLegacyTest, UnbatchedTransferSchedule) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  for (const Case& c : SecureDealerCases()) {
-    RunSpec spec = c.spec;
-    spec.transfer_batching = false;
-    CheckGolden(c.name, ObserveRun(spec), "transfer_batching=false");
-  }
-}
-
 TEST(GoldenLegacyTest, PerNodeMpcSchedule) {
   if (g_regen) {
     GTEST_SKIP() << "variants are checked, not recorded";

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
-#include "src/net/sim_network.h"
 #include "src/transfer/batch_engine.h"
 
 namespace dstress::transfer {
@@ -176,63 +174,6 @@ TEST(TransferTest, WireSizesMatchAnalyticFormulas) {
     MemberColumn column{agg.c1, agg.c2[0]};
     EXPECT_EQ(column.Serialize().size(), static_cast<size_t>(1 + kBits) * 33);
   }
-}
-
-TEST(TransferTest, NetworkedRolesEndToEnd) {
-  // Full networked execution: 2 blocks of 3 members + the two endpoints,
-  // nodes 0..7 on a SimNetwork, with overlapping role assignments.
-  constexpr int kBlock = 3;
-  constexpr int kBits = 6;
-  auto prg = crypto::ChaCha20Prg::FromSeed(6);
-  TransferParams params;
-  params.block_size = kBlock;
-  params.message_bits = kBits;
-  params.budget_alpha = 0.9;
-  params.dlog_range = 512;
-
-  net::SimNetwork net(8);
-  // Node 0 = i, node 1 = j; B_i = {0, 2, 3}, B_j = {1, 4, 0} (node 0 plays
-  // both source endpoint and receiver member — the session-splitting case).
-  std::vector<net::NodeId> block_i = {0, 2, 3};
-  std::vector<net::NodeId> block_j = {1, 4, 0};
-
-  BlockKeys keys_j = TransferSetup(kBlock, kBits, prg);
-  crypto::U256 neighbor_key = prg.NextScalar(crypto::CurveOrder());
-  BlockCertificate cert = MakeBlockCertificate(PublicKeysOf(keys_j), neighbor_key);
-  crypto::DlogTable table(params.dlog_range);
-
-  mpc::BitVector message = {1, 0, 1, 1, 0, 1};
-  auto src_shares = mpc::ShareBits(message, kBlock, prg);
-
-  constexpr net::SessionId kSession = 42;
-  std::vector<mpc::BitVector> dest_shares(kBlock);
-  std::vector<std::thread> threads;
-  for (int x = 0; x < kBlock; x++) {
-    threads.emplace_back([&, x] {
-      auto role_prg = crypto::ChaCha20Prg::FromSeed(900 + x);
-      RunSenderMember(&net, block_i[x], 0, kSession, src_shares[x], cert, role_prg);
-    });
-  }
-  threads.emplace_back([&] {
-    auto role_prg = crypto::ChaCha20Prg::FromSeed(800);
-    RunSourceEndpoint(&net, 0, block_i, 1, kSession, params, role_prg);
-  });
-  threads.emplace_back(
-      [&] { RunDestEndpoint(&net, 1, 0, block_j, kSession, neighbor_key, params); });
-  for (int y = 0; y < kBlock; y++) {
-    threads.emplace_back([&, y] {
-      dest_shares[y] =
-          RunReceiverMember(&net, block_j[y], 1, kSession, keys_j.members[y], table, params);
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(mpc::ReconstructBits(dest_shares), message);
-
-  // Traffic sanity: node 0 (source endpoint) received the k+1 bundles.
-  EXPECT_GE(net.NodeStats(0).bytes_received,
-            static_cast<uint64_t>(kBlock) * (1 + kBlock * kBits) * 33);
 }
 
 TEST(TransferBatchEngineTest, WireBytesBitIdenticalToSeedPath) {
