@@ -38,8 +38,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <mutex>
 #include <new>
 #include <string>
 #include <vector>
@@ -132,11 +130,10 @@ struct JsonEntry {
   double ha_control_bytes = -1;
   double ha_checkpoint_ms = -1;
   // secure-ot rows only (docs/offline-phase.md): base-OT protocol
-  // executions under the factory vs the per-role baseline, the factory's
-  // offline generation / online-wait wall, and how much of the offline work
-  // overlapped the online phase. Negative = not an OT row (fields omitted).
+  // executions, the factory's offline generation / online-wait wall, and
+  // how much of the offline work overlapped the online phase. Negative =
+  // not an OT row (fields omitted).
   double base_ot_count = -1;
-  double base_ot_count_baseline = -1;
   double offline_ms = -1;
   double offline_wait_ms = -1;
   double overlap_ms = -1;
@@ -174,10 +171,9 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per
     }
     if (e.base_ot_count >= 0) {
       std::fprintf(f,
-                   ", \"base_ot_count\": %.0f, \"base_ot_count_baseline\": %.0f"
+                   ", \"base_ot_count\": %.0f"
                    ", \"offline_ms\": %.2f, \"offline_wait_ms\": %.2f, \"overlap_ms\": %.2f",
-                   e.base_ot_count, e.base_ot_count_baseline, e.offline_ms, e.offline_wait_ms,
-                   e.overlap_ms);
+                   e.base_ot_count, e.offline_ms, e.offline_wait_ms, e.overlap_ms);
     }
     std::fprintf(f, ", \"bytes_per_node\": %.0f}%s\n", e.bytes_per_node,
                  i + 1 < entries.size() ? "," : "");
@@ -189,69 +185,21 @@ void WriteJson(const std::vector<JsonEntry>& entries, int block_size, double per
 
 // --- Secure OT offline phase (docs/offline-phase.md) -----------------------
 //
-// Real end-to-end runs with IKNP OT-extension triples, driven through
-// core::Runtime directly so a transport observer can split the wire into
-// offline (session namespace 8 — all OT-triple traffic) and online bytes.
-// The factory and per-role rows must release the same figure over
-// bit-identical per-node ONLINE traffic — the offline phase is the only
-// thing the factory is allowed to change.
-
-struct OtOnlineStats {
-  uint64_t bytes_sent = 0;
-  uint64_t bytes_received = 0;
-  uint64_t msgs_sent = 0;
-  uint64_t msgs_received = 0;
-  bool operator==(const OtOnlineStats& o) const {
-    return bytes_sent == o.bytes_sent && bytes_received == o.bytes_received &&
-           msgs_sent == o.msgs_sent && msgs_received == o.msgs_received;
-  }
-};
-
-class OtTrafficSplitter : public net::NetworkObserver {
- public:
-  void OnSend(net::NodeId from, net::NodeId, net::SessionId session,
-              const Bytes& payload) override {
-    if ((session >> 60) == 8) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    online_[from].bytes_sent += payload.size();
-    online_[from].msgs_sent += 1;
-  }
-  void OnRecv(net::NodeId to, net::NodeId, net::SessionId session,
-              const Bytes& payload) override {
-    if ((session >> 60) == 8) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    online_[to].bytes_received += payload.size();
-    online_[to].msgs_received += 1;
-  }
-  std::map<net::NodeId, OtOnlineStats> online() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return online_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<net::NodeId, OtOnlineStats> online_;
-};
+// Real end-to-end runs with IKNP OT-extension triples through the node-pair
+// triple factory, driven through core::Runtime directly.
 
 struct OtRunResult {
   int64_t released = 0;
   core::RunMetrics metrics;
-  std::map<net::NodeId, OtOnlineStats> online;
 };
 
-OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_batching) {
+OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout) {
   engine::TopologySpec topo = engine::CorePeripheryTopology(n, std::max(2, n / 10));
   topo.degree_cap = degree;
   graph::Graph g = engine::BuildTopologyGraph(topo, /*seed=*/4);
   finance::EnProgramParams en = EnParams(degree, /*iterations=*/1);
-  // Lean 8-bit fixed point: the row is an offline-phase A/B, and the
-  // shared online/extension work (which scales with circuit size and is
-  // identical in both runs) would otherwise dilute the base-OT delta the
-  // row exists to measure.
+  // Lean 8-bit fixed point keeps the row about the offline phase: the
+  // online/extension work scales with circuit size.
   en.format.value_bits = 8;
   en.format.frac_bits = 4;
   finance::WorkloadParams workload;
@@ -269,14 +217,10 @@ OtRunResult RunSecureOt(int n, int degree, int block_size, int fanout, bool ot_b
   config.seed = 4;
   config.transfer_budget_alpha = 0.99;
   config.use_ot_triples = true;
-  config.ot_batching = ot_batching;
   config.aggregation_fanout = fanout;
   core::Runtime runtime(config, g, program);
-  OtTrafficSplitter meter;
-  runtime.AttachObserver(&meter);
   OtRunResult result;
   result.released = runtime.Run(states, &result.metrics);
-  result.online = meter.online();
   return result;
 }
 
@@ -453,56 +397,33 @@ void Run() {
               "# crypto, so the 'secure' rows' speedup tracks the batched transfer engine;\n"
               "# the MPC rows isolate the packed evaluation path.\n");
 
-  // Secure OT offline phase: the node-pair triple factory (ot_batching on,
-  // the default for `triples ot` runs) against the per-role IKNP baseline,
-  // in the same build and run. The factory pays base OTs once per node pair
-  // instead of once per (role, peer) and prefetches iteration i+1's triples
-  // while iteration i evaluates; tools/check_bench.py --ot-min-speedup pins
-  // the wall-clock floor. Block size 10 keeps the per-role baseline's
-  // setup-dominated regime honest at bench-friendly N; the N=20 row runs a
-  // fanout-4 aggregation tree, which both exercises the factory's tree
-  // demand re-derivation and reflects how per-role setup cost scales with
-  // role-group count.
-  std::printf("\n# secure OT offline phase: node-pair triple factory vs per-role IKNP\n");
-  std::printf("%6s %6s %12s %12s %10s %10s %12s %12s\n", "N", "k+1", "factory(s)",
-              "per-role(s)", "speedup", "base-OTs", "(baseline)", "overlap(ms)");
+  // Secure OT offline phase: the node-pair triple factory pays base OTs
+  // once per node pair and prefetches iteration i+1's triples while
+  // iteration i evaluates. tools/check_bench.py gates the rows absolutely:
+  // --ot-base-ots-per-pair caps base OTs at 4 per node pair and
+  // --ot-max-wall-ms caps the wall. The N=20 row runs a fanout-4
+  // aggregation tree, which exercises the factory's tree demand
+  // re-derivation.
+  std::printf("\n# secure OT offline phase: node-pair triple factory\n");
+  std::printf("%6s %6s %12s %10s %12s\n", "N", "k+1", "wall(s)", "base-OTs", "overlap(ms)");
   const int ot_block_size = 10;
   for (int n : {10, 20}) {
     const int ot_degree = 3;
     const int ot_fanout = n == 20 ? 4 : 0;
-    OtRunResult baseline =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/false);
-    OtRunResult factory =
-        RunSecureOt(n, ot_degree, ot_block_size, ot_fanout, /*ot_batching=*/true);
-    // Fidelity re-assertion at bench scale: same released figure, and the
-    // online phase's per-node traffic (everything outside the offline
-    // session namespace) identical in bytes and message counts.
-    DSTRESS_CHECK(factory.released == baseline.released);
-    DSTRESS_CHECK(factory.online.size() == baseline.online.size());
-    for (const auto& [node, stats] : factory.online) {
-      DSTRESS_CHECK(stats == baseline.online.at(node));
-    }
+    OtRunResult factory = RunSecureOt(n, ot_degree, ot_block_size, ot_fanout);
     double overlap_ms = std::max(
         0.0, (factory.metrics.offline_seconds - factory.metrics.offline_wait_seconds) * 1e3);
-    std::printf("%6d %6d %12.2f %12.2f %9.1fx %10llu %12llu %12.0f\n", n, ot_block_size,
-                factory.metrics.total_seconds, baseline.metrics.total_seconds,
-                baseline.metrics.total_seconds /
-                    std::max(factory.metrics.total_seconds, 1e-9),
-                static_cast<unsigned long long>(factory.metrics.base_ot_executions),
-                static_cast<unsigned long long>(baseline.metrics.base_ot_executions),
-                overlap_ms);
-    JsonEntry ot_row{n, ot_degree, "secure-ot", factory.metrics.total_seconds * 1e3,
-                     baseline.metrics.total_seconds * 1e3,
+    std::printf("%6d %6d %12.2f %10llu %12.0f\n", n, ot_block_size,
+                factory.metrics.total_seconds,
+                static_cast<unsigned long long>(factory.metrics.base_ot_executions), overlap_ms);
+    JsonEntry ot_row{n, ot_degree, "secure-ot", factory.metrics.total_seconds * 1e3, -1,
                      factory.metrics.avg_bytes_per_node};
     ot_row.base_ot_count = static_cast<double>(factory.metrics.base_ot_executions);
-    ot_row.base_ot_count_baseline = static_cast<double>(baseline.metrics.base_ot_executions);
     ot_row.offline_ms = factory.metrics.offline_seconds * 1e3;
     ot_row.offline_wait_ms = factory.metrics.offline_wait_seconds * 1e3;
     ot_row.overlap_ms = overlap_ms;
     json.push_back(ot_row);
   }
-  std::printf("# identical released figures and per-node online traffic both rows; only the\n"
-              "# offline phase (base-OT count, extend batching, prefetch) differs\n");
 
   // Beyond the projection: the cleartext fast path actually executes the
   // large-N sweep the secure mode can only model — same circuits, same

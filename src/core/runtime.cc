@@ -155,7 +155,7 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   threads_target_ = ResolveThreadBudget(config.max_parallel_tasks);
   pool_ = std::make_unique<WorkerPool>(threads_target_);
 
-  if (config_.use_ot_triples && config_.ot_batching) {
+  if (config_.use_ot_triples) {
     mpc::TripleFactoryOptions factory_options;
     factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
     factory_options.pipeline = config_.ot_prefetch;
@@ -169,8 +169,7 @@ crypto::ChaCha20Prg Runtime::RolePrg(uint64_t role_tag, uint64_t instance) {
   return crypto::ChaCha20Prg::FromSeed(RolePrgSeed(config_.seed, role_tag), instance);
 }
 
-mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index,
-                                            const std::vector<int>& block) {
+mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index) {
   if (triple_factory_ != nullptr) {
     // Factory mode: the offline waves enqueued per phase carry this role's
     // triples; the view is a local blocking cursor over them.
@@ -184,21 +183,8 @@ mpc::TripleSource* Runtime::TripleSourceFor(uint64_t tag, int member_index,
       return it->second.get();
     }
   }
-  std::unique_ptr<mpc::TripleSource> source;
-  if (config_.use_ot_triples) {
-    // Legacy per-role path (ot_batching off; the A/B baseline). All triple
-    // traffic rides the offline session namespace, keyed by role tag, so
-    // observers classify offline vs online bytes the same way in both
-    // modes; the shared cache lets a regenerated role reuse its base-OT
-    // setup instead of re-running it.
-    source = std::make_unique<mpc::OtTripleSource>(
-        net_.get(), block, member_index,
-        RolePrg(0x77, (tag << 8) | static_cast<uint64_t>(member_index)),
-        mpc::kOfflineSessionNamespace | tag, &iknp_cache_);
-  } else {
-    source = std::make_unique<mpc::DealerTripleSource>(member_index, config_.block_size,
-                                                       config_.seed ^ tag);
-  }
+  auto source = std::make_unique<mpc::DealerTripleSource>(member_index, config_.block_size,
+                                                         config_.seed ^ tag);
   std::lock_guard<std::mutex> lock(triple_mu_);
   auto [it, _] = triple_sources_.emplace(key, std::move(source));
   return it->second.get();
@@ -339,9 +325,7 @@ void Runtime::SaveCheckpoint(int next_iteration, RunMetrics* m) {
   {
     std::lock_guard<std::mutex> lock(triple_mu_);
     for (const auto& [key, source] : triple_sources_) {
-      auto* dealer = dynamic_cast<mpc::DealerTripleSource*>(source.get());
-      DSTRESS_CHECK(dealer != nullptr);  // the ctor rejects checkpoint + OT
-      snapshot.triple_cursors.push_back({key.first, key.second, dealer->calls()});
+      snapshot.triple_cursors.push_back({key.first, key.second, source->calls()});
     }
   }
   std::string error;
@@ -460,8 +444,7 @@ void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
       triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
     }
   };
-  const bool interactive_triples = config_.use_ot_triples && !config_.ot_batching;
-  if (!interactive_triples && !config_.batch_mpc_per_node) {
+  if (!config_.batch_mpc_per_node) {
     // Single-scheduler mode: the triple source needs no communication
     // (dealer tapes, or factory views whose OT traffic already ran in the
     // offline wave), so the whole phase is one lockstep call on this
@@ -527,8 +510,7 @@ void Runtime::ComputePhase() {
   RunBatchedPhase(
       roles, [&](int v, int m) { return setup_.blocks[v][m]; },
       [&](int v, int m) {
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
+        mpc::TripleSource* source = TripleSourceFor(static_cast<uint64_t>(v), m);
         mpc::BatchInstance item;
         item.plan = &update_plan_;
         item.parties = setup_.blocks[v];
@@ -680,7 +662,7 @@ int64_t Runtime::AggregateSingleLevel() {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
 
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(agg_circuit, input);
     triples_consumed_.fetch_add(agg_circuit.stats().num_and, std::memory_order_relaxed);
@@ -752,7 +734,7 @@ int64_t Runtime::AggregateTree() {
         int size = std::min(n, g * fanout + fanout) - g * fanout;
         const circuit::EvalPlan& plan = leaf_plan_for(size);
         mpc::TripleSource* source =
-            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m, blocks[g]);
+            TripleSourceFor(kAggTripleTag + 1 + static_cast<uint64_t>(g), m);
         mpc::BatchInstance item;
         item.plan = &plan;
         item.parties = blocks[g];
@@ -821,8 +803,8 @@ int64_t Runtime::AggregateTree() {
         [&](int g, int m) {
           int size = std::min(p, g * fanout + fanout) - g * fanout;
           const circuit::EvalPlan& plan = combine_plan_for(size);
-          mpc::TripleSource* source = TripleSourceFor(
-              kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m, next_blocks[g]);
+          mpc::TripleSource* source =
+              TripleSourceFor(kAggTripleTag + 1 + (level << 20) + static_cast<uint64_t>(g), m);
           mpc::BatchInstance item;
           item.plan = &plan;
           item.parties = next_blocks[g];
@@ -868,7 +850,7 @@ int64_t Runtime::AggregateTree() {
     for (size_t b = 0; b < noise_bits; b++) {
       input.push_back(prg.NextBit() ? 1 : 0);
     }
-    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+    mpc::TripleSource* triples = TripleSourceFor(kAggTripleTag, m);
     mpc::GmwParty party(net_.get(), setup_.aggregation_block, m, triples, kAggEvalSession);
     mpc::BitVector out_shares = party.Eval(combine_circuit, input);
     triples_consumed_.fetch_add(combine_circuit.stats().num_and, std::memory_order_relaxed);
@@ -1042,8 +1024,7 @@ void Runtime::ComputePhaseEnsemble(int num_scenarios) {
         // consumed in ascending scenario order at every member, and triple
         // randomness cancels out of opened results anyway.
         const int v = g % n;
-        mpc::TripleSource* source =
-            TripleSourceFor(static_cast<uint64_t>(v), m, setup_.blocks[v]);
+        mpc::TripleSource* source = TripleSourceFor(static_cast<uint64_t>(v), m);
         mpc::BatchInstance item;
         item.plan = &update_plan_;
         item.parties = setup_.blocks[v];
@@ -1102,7 +1083,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
         for (size_t b = 0; b < noise_bits; b++) {
           input.push_back(prg.NextBit() ? 1 : 0);
         }
-        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m, setup_.aggregation_block);
+        mpc::TripleSource* source = TripleSourceFor(kAggTripleTag, m);
         mpc::BatchInstance item;
         item.plan = &agg_plan;
         item.parties = setup_.aggregation_block;

@@ -89,17 +89,12 @@ struct RuntimeConfig {
   // the Appendix B lookup-failure probability is negligible per run.
   int64_t dlog_range = 0;
   // false: dealer triples (simulated offline phase, fast). true: IKNP
-  // OT-extension triples (the real protocol; pairwise setup per block).
-  bool use_ot_triples = false;
-  // With use_ot_triples: run the offline phase through the node-pair triple
+  // OT-extension triples (the real protocol) from the node-pair triple
   // factory (src/mpc/triple_factory.h) — one IKNP session pair per node
   // pair, bulk extends sized to each phase's aggregate demand, and triple
   // generation for iteration i+1 prefetched while iteration i evaluates.
-  // Released figures and the online phase's per-node TrafficStats are
-  // bit-identical either way (asserted in triple_factory_test.cc); false
-  // keeps the seed per-role OtTripleSource path for A/B comparison.
-  bool ot_batching = true;
-  // With ot_batching: hand waves to the factory's background dispatcher
+  bool use_ot_triples = false;
+  // With use_ot_triples: hand waves to the factory's background dispatcher
   // (the offline/online pipeline). False generates each wave synchronously
   // at enqueue — the A/B knob behind the pipelined == unpipelined fidelity
   // tests; identical figures, traffic and triple streams either way.
@@ -257,21 +252,14 @@ class Runtime {
   void AccumulateBatchStats(const mpc::BatchStats& stats);
 
   // Shared scheduler for a batched MPC phase over `roles` = (group,
-  // member) pairs. With a non-interactive triple source the whole phase is
-  // one lockstep EvalBatchInstances call on the calling thread (nothing
-  // ever parks: each round's receives are satisfied by sends earlier in
-  // the same round); with OT triples it runs one lockstep task per
-  // executing node so the pairwise triple protocols can interleave.
-  // make_item(g, m) builds the instance (triples prefetched inside, in
-  // role order), sink(i, output) stores role i's output shares.
-  //
-  // Scheduling tradeoffs: the single-scheduler mode trades cross-block
-  // thread parallelism for maximal slicing width and zero blocking — the
-  // right trade when per-layer synchronization dominates. The OT mode needs every node's
-  // task live at once (the lockstep superstep argument), so the pool
-  // grows to one thread per participating node — fine at the block-level
-  // N the ~100x-slower OT configs are practical at, but not a schedule
-  // for OT at thousands of nodes.
+  // member) pairs. Triple sources never communicate (dealer tapes, or
+  // factory views whose OT traffic ran in an offline wave), so the whole
+  // phase can be one lockstep EvalBatchInstances call on the calling
+  // thread (nothing ever parks: each round's receives are satisfied by
+  // sends earlier in the same round); with batch_mpc_per_node it runs one
+  // lockstep task per executing node instead. make_item(g, m) builds the
+  // instance (triples prefetched inside, in role order), sink(i, output)
+  // stores role i's output shares.
   void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
                        const std::function<int(int, int)>& node_of,
                        const std::function<mpc::BatchInstance(int, int)>& make_item,
@@ -284,11 +272,10 @@ class Runtime {
   void RunGrouped(size_t groups, size_t subtasks,
                   const std::function<void(size_t, size_t)>& fn);
 
-  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index,
-                                     const std::vector<int>& block);
+  mpc::TripleSource* TripleSourceFor(uint64_t tag, int member_index);
   crypto::ChaCha20Prg RolePrg(uint64_t role_tag, uint64_t instance);
 
-  // Offline-phase demand estimation (config_.ot_batching): registers one
+  // Offline-phase demand estimation (config_.use_ot_triples): registers one
   // factory wave covering every triple the named phase will draw —
   // update-circuit AND count x scenarios per vertex block for a
   // computation step, the aggregation circuits' AND counts for the
@@ -331,14 +318,11 @@ class Runtime {
   // [vertex][out_slot][member]
   std::vector<std::vector<std::vector<mpc::BitVector>>> outmsg_shares_;
 
-  // Persistent triple sources keyed by (vertex or agg tag, member index).
-  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::TripleSource>> triple_sources_;
+  // Dealer triple sources keyed by (vertex or agg tag, member index).
+  std::map<std::pair<uint64_t, int>, std::unique_ptr<mpc::DealerTripleSource>> triple_sources_;
   std::mutex triple_mu_;
-  // Offline phase (use_ot_triples && ot_batching): the node-pair triple
-  // factory, plus the IKNP session cache the legacy per-role path uses so
-  // regenerated roles reuse their base-OT setup.
+  // Offline phase (use_ot_triples): the node-pair triple factory.
   std::unique_ptr<mpc::TripleFactory> triple_factory_;
-  mpc::IknpSessionCache iknp_cache_;
 
   std::vector<std::pair<int, int>> edges_;
   int threads_target_ = 0;

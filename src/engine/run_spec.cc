@@ -153,7 +153,7 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
   // reported walls are attributable.
   std::string planes;
   if (spec.use_ot_triples) {
-    planes = std::string(" (triples=ot, ot_batching=") + (spec.ot_batching ? "on" : "off") + ")";
+    planes = " (triples=ot)";
   }
   char buf[1024];
   std::snprintf(

@@ -149,15 +149,9 @@ struct RunSpec {
   int iterations = 0;  // 0 = AutoIterations(N)
   int block_size = 4;  // k+1
   int aggregation_fanout = 0;  // 0 = single aggregation block
+  // IKNP OT-extension triples from the node-pair triple factory
+  // (docs/offline-phase.md) instead of the simulated dealer.
   bool use_ot_triples = false;
-  // Batched offline phase (core::RuntimeConfig::ot_batching): with OT
-  // triples, run the node-pair triple factory — one IKNP session pair per
-  // node pair, bulk extends per phase, offline generation pipelined ahead
-  // of the online phase. Released figures and the online phase's per-node
-  // TrafficStats are bit-identical either way; false keeps the seed
-  // per-role OtTripleSource path for A/B benchmarking. No effect on dealer
-  // runs.
-  bool ot_batching = true;
   // Flat-arena cleartext graph plane (src/graphplane, docs/graph-plane.md):
   // contiguous bitsliced state/message arenas plus an active-vertex
   // frontier. Released figures, per-vertex states and per-node TrafficStats

@@ -54,7 +54,7 @@
 namespace dstress::mpc {
 
 // Session-id namespace (src/core/runtime.cc owns 1..7) for ALL OT-triple
-// traffic — factory waves and the legacy per-role path alike. Observers
+// traffic (factory waves and OtTripleSource groups alike). Observers
 // classify a message as offline iff (session >> 60) == 8.
 inline constexpr net::SessionId kOfflineSessionNamespace = 8ULL << 60;
 

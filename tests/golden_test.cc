@@ -24,13 +24,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -184,15 +181,8 @@ std::string GoldenPath(const std::string& name) {
   return std::string(DSTRESS_GOLDEN_DIR) + "/" + name + ".txt";
 }
 
-// Lines a comparison may ignore: a variant that is only required to match
-// part of the golden (e.g. the online phase) passes a filter naming the
-// line kinds outside its contract.
-using LineFilter = std::function<bool(const std::string&)>;
-
-bool KeepAll(const std::string&) { return true; }
-
 void CheckGolden(const std::string& name, const std::vector<std::string>& observed,
-                 const std::string& variant, const LineFilter& keep = KeepAll) {
+                 const std::string& variant) {
   const std::string path = GoldenPath(name);
   if (g_regen) {
     std::ofstream out(path);
@@ -206,16 +196,9 @@ void CheckGolden(const std::string& name, const std::vector<std::string>& observ
   ASSERT_TRUE(in.good()) << "missing golden " << path << " (run golden_test --regen)";
   std::vector<std::string> expected;
   for (std::string line; std::getline(in, line);) {
-    if (keep(line)) {
-      expected.push_back(line);
-    }
+    expected.push_back(line);
   }
-  std::vector<std::string> actual;
-  for (const std::string& line : observed) {
-    if (keep(line)) {
-      actual.push_back(line);
-    }
-  }
+  const std::vector<std::string>& actual = observed;
   int mismatches = 0;
   for (size_t i = 0; i < std::max(expected.size(), actual.size()) && mismatches < 5; i++) {
     const std::string e = i < expected.size() ? expected[i] : "<end>";
@@ -529,24 +512,6 @@ TEST(GoldenLegacyTest, PerNodeMpcSchedule) {
     RunSpec spec = c.spec;
     spec.mpc_per_node_schedule = true;
     CheckGolden(c.name, ObserveEnsemble(spec), "mpc_per_node_schedule=true");
-  }
-}
-
-// The per-role OT path pays a different offline phase by design (base OTs
-// per role group instead of per node pair); its contract was the released
-// figure and the online traffic.
-TEST(GoldenLegacyTest, PerRoleOtTriples) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  auto online_only = [](const std::string& line) {
-    return line.rfind("offline ", 0) != 0 && line.rfind("base_ots ", 0) != 0 &&
-           line.rfind("total_bytes ", 0) != 0;
-  };
-  for (const Case& c : SecureOtCases()) {
-    RunSpec spec = c.spec;
-    spec.ot_batching = false;
-    CheckGolden(c.name, ObserveRun(spec), "ot_batching=false", online_only);
   }
 }
 
