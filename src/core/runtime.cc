@@ -158,7 +158,6 @@ Runtime::Runtime(const RuntimeConfig& config, const graph::Graph& graph,
   if (config_.use_ot_triples) {
     mpc::TripleFactoryOptions factory_options;
     factory_options.prg_seed = RolePrgSeed(config_.seed, 0x78);
-    factory_options.pipeline = config_.ot_prefetch;
     triple_factory_ = std::make_unique<mpc::TripleFactory>(net_.get(), factory_options);
   }
 }

@@ -94,11 +94,6 @@ struct RuntimeConfig {
   // pair, bulk extends sized to each phase's aggregate demand, and triple
   // generation for iteration i+1 prefetched while iteration i evaluates.
   bool use_ot_triples = false;
-  // With use_ot_triples: hand waves to the factory's background dispatcher
-  // (the offline/online pipeline). False generates each wave synchronously
-  // at enqueue — the A/B knob behind the pipelined == unpipelined fidelity
-  // tests; identical figures, traffic and triple streams either way.
-  bool ot_prefetch = true;
   // 0 = single aggregation block; >0 = aggregation tree with this group
   // size per level (depth grows as log_fanout(N)).
   int aggregation_fanout = 0;
@@ -180,7 +175,7 @@ struct RunMetrics {
   int resumed_from_iteration = -1;
   // Offline-phase surface (docs/offline-phase.md), all zero for dealer
   // runs: wall time the triple factory spent generating waves (overlaps
-  // the phase timings above — with ot_prefetch the factory runs while the
+  // the phase timings above — the factory runs while the
   // online phase evaluates), online time spent blocked on the triple pool,
   // and base-OT protocol executions during the run (both endpoints count,
   // so one node-pair setup contributes 4). ToString appends them only for

@@ -111,20 +111,16 @@ class TripleFactory::View : public TripleSource {
 TripleFactory::TripleFactory(net::Transport* net, TripleFactoryOptions options)
     : net_(net), options_(options), pool_(1) {
   DSTRESS_CHECK(options_.max_pending_waves >= 1);
-  if (options_.pipeline) {
-    dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  }
+  dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
 TripleFactory::~TripleFactory() {
-  if (dispatcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      shutdown_ = true;
-    }
-    queue_cv_.notify_all();
-    dispatcher_.join();
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    shutdown_ = true;
   }
+  queue_cv_.notify_all();
+  dispatcher_.join();
 }
 
 void TripleFactory::Enqueue(std::vector<TripleDemand> demands) {
@@ -137,10 +133,6 @@ void TripleFactory::Enqueue(std::vector<TripleDemand> demands) {
       std::lock_guard<std::mutex> lock(buf->mu);
       buf->promised += d.count;
     }
-  }
-  if (!options_.pipeline) {
-    GenerateWave(demands);
-    return;
   }
   std::unique_lock<std::mutex> lock(queue_mu_);
   // Bounded pool: the factory runs at most max_pending_waves ahead of the
@@ -285,6 +277,14 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
     }
   }
 
+  // Count the wave before any of it is dealt out, so a consumer that has
+  // drawn a wave's triples always sees that wave in stats().
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.waves += 1;
+    stats_.triples += wave_triples;
+  }
+
   // One task per participating node; whole-group admission on the private
   // pool keeps every node runnable at once, which the tournament's blocking
   // pairwise exchanges require (same invariant as the runtime's phase
@@ -295,7 +295,7 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
     const net::NodeId self = participants[p];
 
     // Local shares: a, b from this member's per-tag PRG stream (advanced
-    // once per wave — deterministic regardless of pipelining), c seeded
+    // once per wave — deterministic regardless of timing), c seeded
     // with the local product a AND b; the tournament below folds in the
     // cross terms.
     for (const auto& [d, m] : roles[p]) {
@@ -408,8 +408,6 @@ void TripleFactory::GenerateWave(const std::vector<TripleDemand>& demands_in) {
 
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.offline_seconds += wave_clock.ElapsedSeconds();
-  stats_.waves += 1;
-  stats_.triples += wave_triples;
 }
 
 void TripleFactory::DispatcherLoop() {

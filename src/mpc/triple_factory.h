@@ -18,7 +18,7 @@
 //    SliceTriples semantics — so GmwParty / EvalBatchInstances consume
 //    triples exactly as before and the online phase is untouched.
 //
-// Pipelining: with Options::pipeline, Enqueue hands waves to a background
+// Pipelining: Enqueue hands waves to a background
 // dispatcher thread (with its own WorkerPool, so offline role tasks never
 // compete for the runtime's phase scheduler) and returns immediately; the
 // runtime enqueues iteration i+1's demand while iteration i evaluates
@@ -29,8 +29,8 @@
 // streams advanced once per wave plus OT extensions whose order within a
 // wave is fixed by the tournament schedule and tag-sorted segment layout.
 // Generation is therefore deterministic in (seed, wave sequence) no matter
-// how generation and consumption interleave, so pipelined and unpipelined
-// runs release bit-identical figures and identical per-node TrafficStats.
+// how generation and consumption interleave, so released figures and
+// per-node TrafficStats do not depend on thread timing.
 // All factory traffic rides session ids under kOfflineSessionNamespace,
 // which is how tests and bench_fig6 split offline from online traffic.
 #ifndef SRC_MPC_TRIPLE_FACTORY_H_
@@ -71,11 +71,7 @@ struct TripleDemand {
 struct TripleFactoryOptions {
   net::SessionId session = kOfflineSessionNamespace;
   uint64_t prg_seed = 0;
-  // Generate waves on a background dispatcher thread (Enqueue returns
-  // immediately, bounded by max_pending_waves). Off = Enqueue generates
-  // synchronously on the caller; the A/B knob behind the pipelined ==
-  // unpipelined fidelity tests.
-  bool pipeline = true;
+  // Waves the background dispatcher may hold queued before Enqueue blocks.
   int max_pending_waves = 2;
 };
 
@@ -148,7 +144,7 @@ class TripleFactory {
   std::mutex pairs_mu_;
   std::map<net::NodeId, std::map<net::NodeId, std::unique_ptr<PeerIknp>>> pair_sessions_;
 
-  // Dispatcher state (pipeline mode).
+  // Dispatcher state.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::vector<TripleDemand>> pending_waves_;

@@ -31,9 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/backend.h"
 #include "src/engine/engine.h"
-#include "src/engine/secure_backend.h"
 #include "src/graph/generators.h"
 #include "src/mpc/triple_factory.h"
 #include "src/net/transport_spec.h"
@@ -513,21 +511,6 @@ TEST(GoldenLegacyTest, PerNodeMpcSchedule) {
     spec.mpc_per_node_schedule = true;
     CheckGolden(c.name, ObserveEnsemble(spec), "mpc_per_node_schedule=true");
   }
-}
-
-TEST(GoldenLegacyTest, UnpipelinedTripleFactory) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  engine::RegisterExecutionMode(ExecutionMode::kSecure, [](const engine::BackendContext& ctx) {
-    engine::BackendContext unpipelined = ctx;
-    unpipelined.runtime_config.ot_prefetch = false;
-    return engine::MakeSecureBackend(unpipelined);
-  });
-  for (const Case& c : SecureOtCases()) {
-    CheckGolden(c.name, ObserveRun(c.spec), "ot_prefetch=false");
-  }
-  engine::ResetExecutionMode(ExecutionMode::kSecure);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the node-pair OT triple factory (src/mpc/triple_factory.h):
 // share-relation correctness over randomized demand corpora, disjoint
 // deterministic view slices, deadlock-freedom under the tournament order
-// with mixed batch sizes, the O(roles x peers) -> O(node pairs) base-OT
-// dedup, and the fidelity contract — pipelined == unpipelined runs, bit for
-// bit.
+// with mixed batch sizes, and the O(roles x peers) -> O(node pairs)
+// base-OT dedup. Released figures and traffic of OT runs are pinned by
+// tests/golden_test.cc.
 #include "src/mpc/triple_factory.h"
 
 #include <gtest/gtest.h>
@@ -56,9 +56,6 @@ TEST(TripleFactoryTest, TriplesSatisfyRelationAcrossBlockSizes) {
     auto net = net::MakeTransport(net::SimTransportSpec(), 9);
     TripleFactoryOptions options;
     options.prg_seed = 0x5eed0000 + block_size;
-    // Synchronous mode so the stats assertions below are exact; the
-    // dispatcher path is exercised by the mixed-batch and runtime tests.
-    options.pipeline = false;
     TripleFactory factory(net.get(), options);
 
     std::vector<int> parties;
@@ -91,7 +88,6 @@ TEST(TripleFactoryTest, ViewsAreDisjointDeterministicSlices) {
     auto net = net::MakeTransport(net::SimTransportSpec(), 4);
     TripleFactoryOptions options;
     options.prg_seed = 42;
-    options.pipeline = false;
     TripleFactory factory(net.get(), options);
     factory.Enqueue({{/*tag=*/3, {0, 1, 2}, 100}});
     std::vector<std::vector<BitTriples>> per_member(3);
@@ -131,7 +127,6 @@ TEST(TripleFactoryTest, MixedBatchSizesUnderTournamentOrderComplete) {
   auto net = net::MakeTransport(net::SimTransportSpec(), 8);
   TripleFactoryOptions options;
   options.prg_seed = 99;
-  options.pipeline = true;
   TripleFactory factory(net.get(), options);
 
   const std::vector<TripleDemand> wave = {
@@ -213,12 +208,11 @@ std::vector<mpc::BitVector> RingStates(int n) {
   return states;
 }
 
-core::RuntimeConfig OtConfig(bool ot_prefetch) {
+core::RuntimeConfig OtConfig() {
   core::RuntimeConfig config;
   config.block_size = 3;
   config.seed = 11;
   config.use_ot_triples = true;
-  config.ot_prefetch = ot_prefetch;
   return config;
 }
 
@@ -239,34 +233,6 @@ class OfflineBytesMeter : public net::NetworkObserver {
   std::atomic<uint64_t> bytes_{0};
 };
 
-TEST(TripleFactoryTest, PipelinedRunMatchesUnpipelinedRunExactly) {
-  // The offline/online pipeline must be a pure latency optimization:
-  // released figure, full per-node TrafficStats and metered triple demand
-  // identical whether waves are generated ahead on the dispatcher or
-  // synchronously at enqueue.
-  constexpr int kN = 5;
-  graph::Graph g = Ring(kN);
-  core::VertexProgram program = MakeSumProgram(1, 2);
-
-  core::Runtime pipelined(OtConfig(/*ot_prefetch=*/true), g, program);
-  core::Runtime unpipelined(OtConfig(/*ot_prefetch=*/false), g, program);
-  core::RunMetrics mp, mu;
-  int64_t released_p = pipelined.Run(RingStates(kN), &mp);
-  int64_t released_u = unpipelined.Run(RingStates(kN), &mu);
-
-  EXPECT_EQ(released_p, released_u);
-  EXPECT_EQ(mp.triples_consumed, mu.triples_consumed);
-  EXPECT_EQ(mp.base_ot_executions, mu.base_ot_executions);
-  for (int node = 0; node < kN; node++) {
-    net::TrafficStats sp = pipelined.network().NodeStats(node);
-    net::TrafficStats su = unpipelined.network().NodeStats(node);
-    EXPECT_EQ(sp.bytes_sent, su.bytes_sent) << "node " << node;
-    EXPECT_EQ(sp.bytes_received, su.bytes_received) << "node " << node;
-    EXPECT_EQ(sp.messages_sent, su.messages_sent) << "node " << node;
-    EXPECT_EQ(sp.messages_received, su.messages_received) << "node " << node;
-  }
-}
-
 TEST(TripleFactoryTest, RuntimePaysBaseOtsOncePerNodePair) {
   // A runtime OT run pays base OTs O(node pairs), not O(roles x peers): 4
   // executions per distinct node pair co-occurring in any block (two IKNP
@@ -276,7 +242,7 @@ TEST(TripleFactoryTest, RuntimePaysBaseOtsOncePerNodePair) {
   graph::Graph g = Ring(kN);
   core::VertexProgram program = MakeSumProgram(1, 2);
 
-  core::Runtime factory(OtConfig(/*ot_prefetch=*/true), g, program);
+  core::Runtime factory(OtConfig(), g, program);
   OfflineBytesMeter meter;
   factory.AttachObserver(&meter);
   core::RunMetrics mf;
