@@ -336,25 +336,6 @@ void Run() {
     json.push_back(JsonEntry{n, degree, "secure-mpc", report.metrics.compute.seconds * 1e3, -1,
                              report.metrics.avg_bytes_per_node});
 
-    // Batched-phase scheduling A/B (RunSpec::mpc_per_node_schedule): the
-    // same batched data plane scheduled as one lockstep task per node (the
-    // OT path's shape, here with dealer triples) vs one whole-phase
-    // lockstep call. Results and wire bytes must be identical — this row
-    // measures pure core::Runtime::RunBatchedPhase scheduling, multi-thread
-    // task dispatch against a single bitsliced pass.
-    spec.mpc_per_node_schedule = true;
-    engine::RunReport per_node = engine::Engine(spec).Run();
-    spec.mpc_per_node_schedule = false;
-    DSTRESS_CHECK(per_node.released == report.released);
-    DSTRESS_CHECK(per_node.metrics.total_bytes == report.metrics.total_bytes);
-    std::printf(
-        "N=%-5d D=%-3d mpc sched: per-node %5.2f s vs lockstep %5.2f s compute "
-        "(identical figure and wire bytes)\n",
-        n, degree, per_node.metrics.compute.seconds, report.metrics.compute.seconds);
-    json.push_back(JsonEntry{n, degree, "secure-mpc-sched", per_node.metrics.compute.seconds * 1e3,
-                             report.metrics.compute.seconds * 1e3,
-                             per_node.metrics.avg_bytes_per_node});
-
     // HA overhead at the acceptance point (N=20, docs/ha.md): the same
     // run over real sockets, plain vs HA-enabled (heartbeats + sequence
     // wrapping + periodic checkpoints). check_bench.py prints the row's

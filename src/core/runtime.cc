@@ -432,67 +432,25 @@ void Runtime::AccumulateBatchStats(const mpc::BatchStats& stats) {
 }
 
 void Runtime::RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                              const std::function<int(int, int)>& node_of,
                               const std::function<mpc::BatchInstance(int, int)>& make_item,
                               const std::function<void(size_t, const mpc::BitVector&)>& sink,
                               bool count_rounds) {
-  auto accumulate = [&](const mpc::BatchStats& stats) {
-    if (count_rounds) {
-      AccumulateBatchStats(stats);
-    } else {
-      triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
-    }
-  };
-  if (!config_.batch_mpc_per_node) {
-    // Single-scheduler mode: the triple source needs no communication
-    // (dealer tapes, or factory views whose OT traffic already ran in the
-    // offline wave), so the whole phase is one lockstep call on this
-    // thread.
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(roles.size());
-    for (auto [g, m] : roles) {
-      items.push_back(make_item(g, m));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t i = 0; i < roles.size(); i++) {
-      sink(i, outputs[i]);
-    }
-    return;
+  std::vector<mpc::BatchInstance> items;
+  items.reserve(roles.size());
+  for (auto [g, m] : roles) {
+    items.push_back(make_item(g, m));
   }
-  // Per-node schedule (always for OT triples; opt-in for dealer triples
-  // via batch_mpc_per_node): one lockstep task per executing node. Triples
-  // are prefetched inside make_item in role order — ascending by group at
-  // every node — so the collective pairwise OT sessions run in a globally
-  // consistent order and the smallest unfinished group can always progress.
-  // Dealer sources are per-(node, session) streams behind a mutex, so the
-  // same prefetch order holds and the schedules stay traffic-identical.
-  std::map<int, std::vector<size_t>> by_node;
+  mpc::BatchStats stats;
+  std::vector<mpc::BitVector> outputs =
+      mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
+  if (count_rounds) {
+    AccumulateBatchStats(stats);
+  } else {
+    triples_consumed_.fetch_add(stats.triples_consumed, std::memory_order_relaxed);
+  }
   for (size_t i = 0; i < roles.size(); i++) {
-    by_node[node_of(roles[i].first, roles[i].second)].push_back(i);
+    sink(i, outputs[i]);
   }
-  std::vector<const std::vector<size_t>*> tasks;
-  tasks.reserve(by_node.size());
-  for (auto& [x, idxs] : by_node) {
-    tasks.push_back(&idxs);
-  }
-  RunGrouped(1, tasks.size(), [&](size_t, size_t t) {
-    const std::vector<size_t>& idxs = *tasks[t];
-    std::vector<mpc::BatchInstance> items;
-    items.reserve(idxs.size());
-    for (size_t i : idxs) {
-      items.push_back(make_item(roles[i].first, roles[i].second));
-    }
-    mpc::BatchStats stats;
-    std::vector<mpc::BitVector> outputs =
-        mpc::EvalBatchInstances(net_.get(), kBatchSession, std::move(items), &stats);
-    accumulate(stats);
-    for (size_t k = 0; k < idxs.size(); k++) {
-      sink(idxs[k], outputs[k]);
-    }
-  });
 }
 
 // The step's (vertex, member) roles advance through the update circuit's
@@ -507,7 +465,7 @@ void Runtime::ComputePhase() {
 
   std::vector<std::pair<int, int>> roles = GroupMemberRoles(n, k1);
   RunBatchedPhase(
-      roles, [&](int v, int m) { return setup_.blocks[v][m]; },
+      roles,
       [&](int v, int m) {
         mpc::TripleSource* source = TripleSourceFor(static_cast<uint64_t>(v), m);
         mpc::BatchInstance item;
@@ -728,7 +686,7 @@ int64_t Runtime::AggregateTree() {
   // All leaf roles advance in lockstep (see ComputePhase).
   std::vector<std::pair<int, int>> leaf_roles = GroupMemberRoles(num_groups, k1);
   RunBatchedPhase(
-      leaf_roles, [&](int g, int m) { return blocks[g][m]; },
+      leaf_roles,
       [&](int g, int m) {
         int size = std::min(n, g * fanout + fanout) - g * fanout;
         const circuit::EvalPlan& plan = leaf_plan_for(size);
@@ -798,7 +756,7 @@ int64_t Runtime::AggregateTree() {
                                                          std::vector<mpc::BitVector>(k1));
     std::vector<std::pair<int, int>> combine_roles = GroupMemberRoles(next_groups, k1);
     RunBatchedPhase(
-        combine_roles, [&](int g, int m) { return next_blocks[g][m]; },
+        combine_roles,
         [&](int g, int m) {
           int size = std::min(p, g * fanout + fanout) - g * fanout;
           const circuit::EvalPlan& plan = combine_plan_for(size);
@@ -1017,7 +975,7 @@ void Runtime::ComputePhaseEnsemble(int num_scenarios) {
 
   std::vector<std::pair<int, int>> roles = GroupMemberRoles(num_scenarios * n, k1);
   RunBatchedPhase(
-      roles, [&](int g, int m) { return setup_.blocks[g % n][m]; },
+      roles,
       [&](int g, int m) {
         // Triple sources are shared per (vertex, member) across scenarios —
         // consumed in ascending scenario order at every member, and triple
@@ -1065,7 +1023,7 @@ std::vector<int64_t> Runtime::AggregateEnsemble(int num_scenarios) {
   std::vector<std::vector<mpc::BitVector>> out_shares(num_scenarios,
                                                       std::vector<mpc::BitVector>(k1));
   RunBatchedPhase(
-      roles, [&](int, int m) { return setup_.aggregation_block[m]; },
+      roles,
       [&](int s, int m) {
         const uint64_t salt = static_cast<uint64_t>(s) << 40;
         mpc::BitVector input;

@@ -74,14 +74,6 @@ namespace dstress::core {
 
 struct RuntimeConfig {
   int block_size = 8;  // k+1
-  // With dealer triples: run each batched phase as one
-  // lockstep task per executing node on the worker pool (the schedule OT
-  // triples always use) instead of one whole-phase lockstep call on the
-  // scheduler thread. Per-instance messages are identical — only which
-  // thread drives them changes — so figures and TrafficStats match;
-  // benchmarked as the lockstep-per-node vs hybrid A/B in
-  // bench_fig6_scalability.
-  bool batch_mpc_per_node = false;
   // Transfer-protocol noise and lookup parameters (production-scale alpha
   // needs the paper's 8 GB lookup table; defaults are test-scale).
   double transfer_budget_alpha = 0.9;
@@ -249,14 +241,12 @@ class Runtime {
   // Shared scheduler for a batched MPC phase over `roles` = (group,
   // member) pairs. Triple sources never communicate (dealer tapes, or
   // factory views whose OT traffic ran in an offline wave), so the whole
-  // phase can be one lockstep EvalBatchInstances call on the calling
-  // thread (nothing ever parks: each round's receives are satisfied by
-  // sends earlier in the same round); with batch_mpc_per_node it runs one
-  // lockstep task per executing node instead. make_item(g, m) builds the
-  // instance (triples prefetched inside, in role order), sink(i, output)
-  // stores role i's output shares.
+  // phase is one lockstep EvalBatchInstances call on the calling thread
+  // (nothing ever parks: each round's receives are satisfied by sends
+  // earlier in the same round). make_item(g, m) builds the instance
+  // (triples prefetched inside, in role order), sink(i, output) stores role
+  // i's output shares.
   void RunBatchedPhase(const std::vector<std::pair<int, int>>& roles,
-                       const std::function<int(int, int)>& node_of,
                        const std::function<mpc::BatchInstance(int, int)>& make_item,
                        const std::function<void(size_t, const mpc::BitVector&)>& sink,
                        bool count_rounds);

@@ -164,12 +164,6 @@ struct RunSpec {
   // figure-identical no-ops). Off by default because it changes the
   // traffic shape — fewer communicate rounds are metered.
   bool cleartext_early_exit = false;
-  // Secure-mode scheduling A/B (core::RuntimeConfig::batch_mpc_per_node):
-  // run the batched compute phase as one lockstep task per node instead of
-  // one whole-phase lockstep call, exercising multi-thread scheduling with
-  // dealer triples. Results and traffic are bit-identical; benchmarked in
-  // bench_fig6_scalability.
-  bool mpc_per_node_schedule = false;
   int max_parallel_tasks = 0;  // 0 = auto
   size_t channel_high_watermark_bytes = 0;  // 0 = unbounded
   double transfer_budget_alpha = 0.9;

@@ -497,22 +497,6 @@ TEST(GoldenLegacyTest, ContainerCleartextPlane) {
   }
 }
 
-TEST(GoldenLegacyTest, PerNodeMpcSchedule) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  for (const Case& c : SecureDealerCases()) {
-    RunSpec spec = c.spec;
-    spec.mpc_per_node_schedule = true;
-    CheckGolden(c.name, ObserveRun(spec), "mpc_per_node_schedule=true");
-  }
-  for (const Case& c : SecureEnsembleCases()) {
-    RunSpec spec = c.spec;
-    spec.mpc_per_node_schedule = true;
-    CheckGolden(c.name, ObserveEnsemble(spec), "mpc_per_node_schedule=true");
-  }
-}
-
 }  // namespace
 }  // namespace dstress
 
