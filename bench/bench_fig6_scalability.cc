@@ -409,14 +409,11 @@ void Run() {
   // Beyond the projection: the cleartext fast path actually executes the
   // large-N sweep the secure mode can only model — same circuits, same
   // transport and scheduler, word-parallel over the same EvalPlan. Since
-  // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M;
-  // smaller points A/B the arena against the retired container plane
-  // (wall_ms_baseline), whose figures and wire bytes must agree
-  // bit-for-bit, and tools/check_bench.py --cleartext-max-wall-ms pins the
+  // the flat-arena graph plane (src/graphplane) the sweep reaches N=1M,
+  // and tools/check_bench.py --cleartext-max-wall-ms pins the
   // N=1M row's wall clock.
   std::printf("\n# cleartext fast-path sweep (real runs through engine::Engine)\n");
-  std::printf("%8s %6s %12s %12s %18s\n", "N", "I", "arena(s)", "legacy(s)",
-              "traffic/node(kB)");
+  std::printf("%8s %6s %12s %18s\n", "N", "I", "wall(s)", "traffic/node(kB)");
   std::vector<int> sweep_ns = FullScale()
                                   ? std::vector<int>{2000, 10000, 20000, 100000, 1000000}
                                   : std::vector<int>{2000, 10000, 100000, 1000000};
@@ -433,20 +430,6 @@ void Run() {
     spec.shock.shocked_banks = {0, 1, 2};
     spec.seed = 4;
     spec.mode = engine::ExecutionMode::kCleartextFast;
-
-    // Container-plane baseline, A/B'd at the sizes it can still sustain;
-    // the arena row must release the identical figure over identical wire
-    // bytes (the graphplane_test corpus pins the full surface).
-    double legacy_ms = -1;
-    if (n <= 20000) {
-      spec.cleartext_arena = false;
-      engine::RunReport legacy = engine::Engine(spec).Run();
-      spec.cleartext_arena = true;
-      engine::RunReport arena = engine::Engine(spec).Run();
-      DSTRESS_CHECK(arena.released == legacy.released);
-      DSTRESS_CHECK(arena.metrics.total_bytes == legacy.metrics.total_bytes);
-      legacy_ms = legacy.metrics.total_seconds * 1e3;
-    }
 
     engine::Engine eng(spec);
     engine::RunReport report = eng.Run();
@@ -465,10 +448,9 @@ void Run() {
                   static_cast<unsigned long long>(calls));
       DSTRESS_CHECK(bytes < 64ull << 20);
     }
-    std::printf("%8d %6d %12.2f %12.2f %18.2f\n", n, report.iterations,
-                report.metrics.total_seconds, legacy_ms < 0 ? 0.0 : legacy_ms / 1e3,
+    std::printf("%8d %6d %12.2f %18.2f\n", n, report.iterations, report.metrics.total_seconds,
                 report.metrics.avg_bytes_per_node / 1e3);
-    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, legacy_ms,
+    json.push_back(JsonEntry{n, 8, "cleartext", report.metrics.total_seconds * 1e3, -1,
                              report.metrics.avg_bytes_per_node});
   }
   std::printf("# the sweep grid that took the paper a cost model now runs for real,\n"

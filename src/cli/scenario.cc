@@ -101,7 +101,8 @@ struct LineParser {
 // Each plane has a single implementation now; naming one of these is an
 // error rather than a silently ignored line.
 bool IsRemovedDirective(const std::string& directive) {
-  return directive == "transfer_batching" || directive == "ot_batching";
+  return directive == "transfer_batching" || directive == "ot_batching" ||
+         directive == "graph_plane";
 }
 
 }  // namespace
@@ -560,21 +561,6 @@ std::optional<engine::RunSpec> ParseScenario(const std::string& text, std::strin
         spec.use_ot_triples = true;
       } else {
         p.Fail("triples must be 'dealer' or 'ot'");
-        return std::nullopt;
-      }
-    } else if (directive == "graph_plane") {
-      // Cleartext data-plane A/B (docs/graph-plane.md): "arena" is the flat
-      // bitsliced plane (default), "legacy" the original container plane.
-      // Figures, states and per-node traffic are bit-identical either way.
-      if (!p.ArgCount(1)) {
-        return std::nullopt;
-      }
-      if (p.tokens[1] == "arena") {
-        spec.cleartext_arena = true;
-      } else if (p.tokens[1] == "legacy") {
-        spec.cleartext_arena = false;
-      } else {
-        p.Fail("graph_plane must be 'arena' or 'legacy'");
         return std::nullopt;
       }
     } else if (directive == "early_exit") {

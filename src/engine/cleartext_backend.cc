@@ -1,6 +1,8 @@
-#include "src/engine/cleartext_backend.h"
-
+// The kCleartextFast backend: the flat graph plane (src/graphplane,
+// docs/graph-plane.md) composed with the secure runtime's circuits, noise
+// and aggregation schedule.
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,8 @@
 #include "src/core/worker_pool.h"
 #include "src/crypto/chacha20.h"
 #include "src/dp/noise_circuit.h"
+#include "src/engine/cleartext_backend.h"
+#include "src/graphplane/plane.h"
 #include "src/mpc/packed.h"
 #include "src/net/transport_spec.h"
 
@@ -18,14 +22,12 @@ namespace dstress::engine {
 
 namespace {
 
-// Session namespaces, mirroring the secure runtime's convention of keying
-// concurrent protocol streams by phase.
+// Session namespaces, keyed by phase like the secure runtime's. The root
+// aggregation role is played by node 0 (any fixed node works — there is no
+// aggregation block to protect in cleartext mode).
 constexpr net::SessionId kEdgeSession = 1ULL << 60;
 constexpr net::SessionId kGatherSession = 2ULL << 60;
 constexpr net::SessionId kCombineSession = 3ULL << 60;
-
-// The root aggregation role is played by node 0 (any fixed node works —
-// there is no aggregation block to protect in cleartext mode).
 constexpr net::NodeId kAggregatorNode = 0;
 
 Bytes PackBits(const mpc::BitVector& bits) {
@@ -63,64 +65,18 @@ mpc::BitVector WordToBits(uint64_t value, int bits) {
   return out;
 }
 
-// Bit-packed payload helpers for the ensemble wire format: bit r of
-// scenario s travels at payload bit r*S + s, so an S=1 payload is
-// byte-identical to PackBits of the corresponding solo message.
-// Byte-wise, not bit-wise: lane groups are up to 64 bits and these run once
-// per (edge, message bit), which is the ensemble communicate phase's hot
-// loop. Groups never overlap, so OR-ing into the zero-initialized payload
-// is enough.
-void InsertBits(Bytes* out, size_t bit_offset, uint64_t bits, int count) {
-  if (count < 64) {
-    bits &= (1ULL << count) - 1;
-  }
-  size_t byte = bit_offset / 8;
-  const int shift = static_cast<int>(bit_offset % 8);
-  (*out)[byte] |= static_cast<uint8_t>(bits << shift);
-  for (int written = 8 - shift; written < count; written += 8) {
-    (*out)[++byte] |= static_cast<uint8_t>(bits >> written);
-  }
-}
-
-uint64_t ExtractBits(const Bytes& raw, size_t bit_offset, int count) {
-  size_t byte = bit_offset / 8;
-  const int shift = static_cast<int>(bit_offset % 8);
-  uint64_t bits = raw[byte] >> shift;
-  for (int got = 8 - shift; got < count; got += 8) {
-    bits |= static_cast<uint64_t>(raw[++byte]) << got;
-  }
-  if (count < 64) {
-    bits &= (1ULL << count) - 1;
-  }
-  return bits;
-}
-
-int SlotOf(const std::vector<int>& neighbors, int target) {
-  for (size_t i = 0; i < neighbors.size(); i++) {
-    if (neighbors[i] == target) {
-      return static_cast<int>(i);
-    }
-  }
-  DSTRESS_CHECK(false);
-  return -1;
-}
-
-class CleartextFastBackend : public ExecutionBackend {
+class ArenaCleartextBackend : public ExecutionBackend {
  public:
-  explicit CleartextFastBackend(const BackendContext& context)
+  explicit ArenaCleartextBackend(const BackendContext& context)
       : graph_(*context.graph),
         program_(*context.program),
         config_(context.runtime_config),
+        early_exit_(context.spec != nullptr && context.spec->cleartext_early_exit),
         update_circuit_(core::BuildUpdateCircuit(program_)),
-        contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)),
-        edges_(graph_.Edges()) {
+        contribution_circuit_(core::BuildAggregateCircuit(program_, 1, /*with_noise=*/false)) {
     DSTRESS_CHECK(graph_.MaxDegree() <= program_.degree_bound);
-    // fanout 1 would make the aggregation-tree reduction never shrink.
     DSTRESS_CHECK(config_.aggregation_fanout != 1);
 
-    // The in-circuit noise sampler, evaluated in cleartext on seed-derived
-    // uniform bits: the released figure follows the same discrete-Laplace
-    // distribution as a secure run.
     circuit::Builder noise_builder;
     noise_builder.OutputWord(dp::BuildGeometricNoise(noise_builder, program_.output_noise,
                                                      program_.aggregate_bits));
@@ -129,16 +85,15 @@ class CleartextFastBackend : public ExecutionBackend {
     net_ = net::MakeTransport(
         config_.transport.WithChannelHighWatermark(config_.channel_high_watermark_bytes),
         graph_.num_vertices());
-
     pool_ = std::make_unique<core::WorkerPool>(
         core::ResolveThreadBudget(config_.max_parallel_tasks));
 
-    out_slot_.reserve(edges_.size());
-    in_slot_.reserve(edges_.size());
-    for (auto [i, j] : edges_) {
-      out_slot_.push_back(SlotOf(graph_.OutNeighbors(i), j));
-      in_slot_.push_back(SlotOf(graph_.InNeighbors(j), i));
-    }
+    graphplane::GraphPlane::Options options;
+    options.num_scenarios = 1;
+    options.stride = 1;
+    options.edge_session_base = kEdgeSession;
+    solo_plane_ = std::make_unique<graphplane::GraphPlane>(graph_, program_, update_plan_,
+                                                           pool_.get(), net_.get(), options);
   }
 
   const char* name() const override { return ExecutionModeName(ExecutionMode::kCleartextFast); }
@@ -150,499 +105,247 @@ class CleartextFastBackend : public ExecutionBackend {
       const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
       core::RunMetrics* metrics) override;
 
-  std::vector<mpc::BitVector> DebugFinalStates() const override { return state_; }
+  std::vector<mpc::BitVector> DebugFinalStates() const override {
+    if (!solo_ran_) {
+      return {};
+    }
+    std::vector<mpc::BitVector> states;
+    states.reserve(static_cast<size_t>(graph_.num_vertices()));
+    for (int v = 0; v < graph_.num_vertices(); v++) {
+      states.push_back(solo_plane_->VertexState(v, 0));
+    }
+    return states;
+  }
 
   void AttachObserver(net::NetworkObserver* observer) override { net_->SetObserver(observer); }
 
   const net::Transport& transport() const override { return *net_; }
 
  private:
-  void ComputePhase();
-  void CommunicatePhase();
-  int64_t AggregatePhase();
-  uint64_t GatherFlat();
-  uint64_t GatherTree();
+  // One wrapping sum per scenario from the plane's final states: packed
+  // contribution eval over every lane, then the transpose reduction in
+  // vertex-major addition order (tests/golden/cleartext_* pin the sums).
+  std::vector<uint64_t> PackedContributionSums(const graphplane::GraphPlane& plane) const {
+    return plane.ScenarioSums(plane.EvalOverStates(contribution_plan_),
+                              program_.aggregate_bits);
+  }
 
-  // Scenario-ensemble lane plane (docs/ensemble.md): scenario s of a
-  // <=64-wide chunk lives in lane v*P + s of a packed matrix (P = smallest
-  // power of two >= S, so a vertex's lanes form one contiguous group).
-  void EvalPlanPacked(const circuit::EvalPlan& plan, const mpc::PackedShareMatrix& in_mat,
-                      mpc::PackedShareMatrix& out_mat);
-  void CommunicateEnsembleChunk(const mpc::PackedShareMatrix& out_mat,
-                                mpc::PackedShareMatrix& in_mat, int num_scenarios, int stride);
-  void AggregateEnsembleChunk(const mpc::PackedShareMatrix& state_mat, int num_scenarios,
-                              int stride, int64_t* results);
+  // sum + sampled noise, masked and sign-extended at aggregate_bits — the
+  // aggregation circuit's arithmetic.
+  int64_t Release(uint64_t sum, uint64_t noise) const {
+    const int agg_bits = program_.aggregate_bits;
+    const uint64_t mask = agg_bits >= 64 ? ~0ULL : (1ULL << agg_bits) - 1;
+    const uint64_t value = (sum + noise) & mask;
+    if (agg_bits < 64 && (value >> (agg_bits - 1)) != 0) {
+      return static_cast<int64_t>(value) - static_cast<int64_t>(1ULL << agg_bits);
+    }
+    return static_cast<int64_t>(value);
+  }
+
+  uint64_t SampleNoise() const {
+    auto prg = crypto::ChaCha20Prg::FromSeed(
+        core::RolePrgSeed(config_.seed, core::kNoiseRoleTag), /*instance=*/0);
+    std::vector<uint8_t> noise_input(noise_circuit_->num_inputs());
+    for (auto& bit : noise_input) {
+      bit = prg.NextBit() ? 1 : 0;
+    }
+    return BitsToWord(noise_circuit_->Eval(noise_input));
+  }
+
+  // Flat gather for a plane of S scenario lanes (the solo S=1 case
+  // included): every vertex's state payload crosses to node 0 — as one
+  // bulk-metered TrafficStats delta when the transport accepts, literally
+  // otherwise — then the packed contribution reduction releases per-lane
+  // figures.
+  void AggregateFlat(const graphplane::GraphPlane& plane, int num_scenarios, int64_t* results) {
+    const int n = graph_.num_vertices();
+    const int sb = program_.state_bits;
+    const size_t payload_bits = static_cast<size_t>(sb) * num_scenarios;
+    const size_t payload_bytes = (payload_bits + 7) / 8;
+
+    std::vector<net::TrafficStats> delta(static_cast<size_t>(n));
+    for (int v = 0; v < n; v++) {
+      delta[static_cast<size_t>(v)].bytes_sent += payload_bytes;
+      delta[static_cast<size_t>(v)].messages_sent += 1;
+      delta[static_cast<size_t>(kAggregatorNode)].bytes_received += payload_bytes;
+      delta[static_cast<size_t>(kAggregatorNode)].messages_received += 1;
+    }
+    if (!net_->MeterSelfDelivered(delta)) {
+      // Literal fallback: the exact payload bytes bulk metering accounts
+      // for (bit r*S+s = state bit r of scenario s), so observers see
+      // identical transcripts. Contributions still come from the
+      // arena — the received copies hold the same valid-lane values.
+      for (int v = 0; v < n; v++) {
+        Bytes payload(payload_bytes, 0);
+        for (int r = 0; r < sb; r++) {
+          graphplane::InsertBits(&payload, static_cast<size_t>(r) * num_scenarios,
+                                 plane.StateLaneGroup(static_cast<size_t>(r), v, num_scenarios),
+                                 num_scenarios);
+        }
+        net_->Send(v, kAggregatorNode, std::move(payload),
+                   kGatherSession | static_cast<uint64_t>(v));
+      }
+      for (int v = 0; v < n; v++) {
+        Bytes raw = net_->Recv(kAggregatorNode, v, kGatherSession | static_cast<uint64_t>(v));
+        DSTRESS_CHECK(raw.size() == payload_bytes);
+      }
+    }
+
+    const std::vector<uint64_t> sums = PackedContributionSums(plane);
+    const uint64_t noise = SampleNoise();
+    for (int s = 0; s < num_scenarios; s++) {
+      results[s] = Release(sums[static_cast<size_t>(s)], noise);
+    }
+  }
+
+  // Tree gather (solo only; the ensemble aggregation schedule is flat,
+  // mirroring the secure plane). Bulk-metered mode replays the §3.6 tree
+  // traffic of GatherTreeLiteral as one delta; the sum itself is the packed
+  // flat reduction — associative two's-complement addition makes it equal
+  // to the tree's level-by-level partials.
+  uint64_t MeterGatherTree() {
+    const int n = graph_.num_vertices();
+    const int fanout = config_.aggregation_fanout;
+    const uint64_t state_bytes = (static_cast<uint64_t>(program_.state_bits) + 7) / 8;
+    const uint64_t agg_bytes = (static_cast<uint64_t>(program_.aggregate_bits) + 7) / 8;
+
+    std::vector<net::TrafficStats> delta(static_cast<size_t>(n));
+    auto meter = [&](int from, int to, uint64_t bytes) {
+      delta[static_cast<size_t>(from)].bytes_sent += bytes;
+      delta[static_cast<size_t>(from)].messages_sent += 1;
+      delta[static_cast<size_t>(to)].bytes_received += bytes;
+      delta[static_cast<size_t>(to)].messages_received += 1;
+    };
+    for (int v = 0; v < n; v++) {
+      meter(v, (v / fanout) * fanout, state_bytes);
+    }
+    const int num_groups = (n + fanout - 1) / fanout;
+    std::vector<int> owners(static_cast<size_t>(num_groups));
+    for (int g = 0; g < num_groups; g++) {
+      owners[static_cast<size_t>(g)] = g * fanout;
+    }
+    while (static_cast<int>(owners.size()) > fanout) {
+      const int p = static_cast<int>(owners.size());
+      for (int g = 0; g < p; g++) {
+        meter(owners[static_cast<size_t>(g)], owners[static_cast<size_t>((g / fanout) * fanout)],
+              agg_bytes);
+      }
+      const int next_groups = (p + fanout - 1) / fanout;
+      std::vector<int> next(static_cast<size_t>(next_groups));
+      for (int g = 0; g < next_groups; g++) {
+        next[static_cast<size_t>(g)] = owners[static_cast<size_t>(g * fanout)];
+      }
+      owners = std::move(next);
+    }
+    for (int g = 0; g < static_cast<int>(owners.size()); g++) {
+      meter(owners[static_cast<size_t>(g)], kAggregatorNode, agg_bytes);
+    }
+    if (net_->MeterSelfDelivered(delta)) {
+      return PackedContributionSums(*solo_plane_)[0];
+    }
+    return GatherTreeLiteral();
+  }
+
+  // Literal tree gather over the §3.6 aggregation tree, with leaf states
+  // read out of the arena. Fallback path only (observer or a
+  // real wire), so per-vertex circuit evaluation is fine here.
+  uint64_t GatherTreeLiteral() {
+    const int n = graph_.num_vertices();
+    const int fanout = config_.aggregation_fanout;
+    const int num_groups = (n + fanout - 1) / fanout;
+    const size_t agg_bits = static_cast<size_t>(program_.aggregate_bits);
+
+    for (int v = 0; v < n; v++) {
+      net_->Send(v, (v / fanout) * fanout, PackBits(solo_plane_->VertexState(v, 0)),
+                 kGatherSession | static_cast<uint64_t>(v));
+    }
+    std::vector<uint64_t> partials(static_cast<size_t>(num_groups), 0);
+    std::vector<int> owners(static_cast<size_t>(num_groups), 0);
+    pool_->RunGrouped(static_cast<size_t>(num_groups), 1, [&](size_t gg, size_t) {
+      int g = static_cast<int>(gg);
+      int lo = g * fanout;
+      int hi = std::min(n, lo + fanout);
+      uint64_t sum = 0;
+      for (int v = lo; v < hi; v++) {
+        Bytes raw = net_->Recv(lo, v, kGatherSession | static_cast<uint64_t>(v));
+        mpc::BitVector state = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
+        sum += BitsToWord(contribution_circuit_.Eval(state));
+      }
+      partials[gg] = sum;
+      owners[gg] = lo;
+    });
+
+    uint64_t level = 1;
+    while (static_cast<int>(partials.size()) > fanout) {
+      int p = static_cast<int>(partials.size());
+      int next_groups = (p + fanout - 1) / fanout;
+      for (int g = 0; g < p; g++) {
+        net_->Send(owners[static_cast<size_t>(g)],
+                   owners[static_cast<size_t>((g / fanout) * fanout)],
+                   PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
+                   kCombineSession | (level << 32) | static_cast<uint64_t>(g));
+      }
+      std::vector<uint64_t> next_partials(static_cast<size_t>(next_groups), 0);
+      std::vector<int> next_owners(static_cast<size_t>(next_groups), 0);
+      pool_->RunGrouped(static_cast<size_t>(next_groups), 1, [&](size_t gg, size_t) {
+        int g = static_cast<int>(gg);
+        int lo = g * fanout;
+        int hi = std::min(p, lo + fanout);
+        uint64_t sum = 0;
+        for (int child = lo; child < hi; child++) {
+          Bytes raw = net_->Recv(owners[static_cast<size_t>(lo)],
+                                 owners[static_cast<size_t>(child)],
+                                 kCombineSession | (level << 32) | static_cast<uint64_t>(child));
+          sum += BitsToWord(UnpackBits(raw, agg_bits));
+        }
+        next_partials[gg] = sum;
+        next_owners[gg] = owners[static_cast<size_t>(lo)];
+      });
+      partials = std::move(next_partials);
+      owners = std::move(next_owners);
+      level++;
+    }
+
+    int p = static_cast<int>(partials.size());
+    for (int g = 0; g < p; g++) {
+      net_->Send(owners[static_cast<size_t>(g)], kAggregatorNode,
+                 PackBits(WordToBits(partials[static_cast<size_t>(g)], program_.aggregate_bits)),
+                 kCombineSession | (level << 32) | static_cast<uint64_t>(g));
+    }
+    uint64_t sum = 0;
+    for (int g = 0; g < p; g++) {
+      Bytes raw = net_->Recv(kAggregatorNode, owners[static_cast<size_t>(g)],
+                             kCombineSession | (level << 32) | static_cast<uint64_t>(g));
+      sum += BitsToWord(UnpackBits(raw, agg_bits));
+    }
+    return sum;
+  }
 
   const graph::Graph& graph_;
   core::VertexProgram program_;
   core::RuntimeConfig config_;
+  bool early_exit_ = false;
   circuit::Circuit update_circuit_;
-  // Precompiled once; every computation step's bitsliced chunks reuse it.
   circuit::EvalPlan update_plan_{update_circuit_};
   circuit::Circuit contribution_circuit_;
-  // Packed plan over the single-vertex contribution circuit: the ensemble
-  // aggregation evaluates all n*S contributions in one bitsliced pass.
   circuit::EvalPlan contribution_plan_{contribution_circuit_};
   std::unique_ptr<circuit::Circuit> noise_circuit_;
-  std::vector<std::pair<int, int>> edges_;
-  std::vector<int> out_slot_;
-  std::vector<int> in_slot_;
   std::unique_ptr<net::Transport> net_;
   std::unique_ptr<core::WorkerPool> pool_;
-
-  // Plaintext per-vertex state and message slots; entry v is only touched
-  // by the pool task evaluating vertex v.
-  std::vector<mpc::BitVector> state_;
-  std::vector<std::vector<mpc::BitVector>> inmsg_;   // [vertex][in_slot]
-  std::vector<std::vector<mpc::BitVector>> outmsg_;  // [vertex][out_slot]
+  // The solo (S = stride = 1) plane, allocated once and Reset per run; also
+  // the source of DebugFinalStates. Ensemble chunks build their own planes
+  // (stride varies with the chunk width).
+  std::unique_ptr<graphplane::GraphPlane> solo_plane_;
+  bool solo_ran_ = false;
 };
 
-void CleartextFastBackend::ComputePhase() {
-  // Word-parallel (bitsliced) evaluation over the precompiled plan: chunks
-  // of up to 64 vertices share one pass over the gate list, vertex j of a
-  // chunk living in bit lane j of every wire row (eval_plan.h). Replaces
-  // the seed's one per-bit Circuit::Eval per vertex.
+int64_t ArenaCleartextBackend::Execute(const std::vector<mpc::BitVector>& initial_states,
+                                       core::RunMetrics* metrics) {
   const int n = graph_.num_vertices();
-  const int d = program_.degree_bound;
-  const size_t in_rows = update_plan_.num_inputs();
-  const size_t out_rows = update_plan_.num_outputs();
-  const int num_chunks = (n + 63) / 64;
-  pool_->RunGrouped(static_cast<size_t>(num_chunks), 1, [&](size_t chunk, size_t) {
-    const int lo = static_cast<int>(chunk) * 64;
-    const int hi = std::min(n, lo + 64);
-    std::vector<uint64_t> inputs(in_rows, 0);
-    for (int v = lo; v < hi; v++) {
-      const uint64_t lane = 1ULL << (v - lo);
-      size_t row = 0;
-      for (uint8_t bit : state_[v]) {
-        if (bit & 1) {
-          inputs[row] |= lane;
-        }
-        row++;
-      }
-      for (int slot = 0; slot < d; slot++) {
-        for (uint8_t bit : inmsg_[v][slot]) {
-          if (bit & 1) {
-            inputs[row] |= lane;
-          }
-          row++;
-        }
-      }
-      DSTRESS_CHECK(row == in_rows);
-    }
-    std::vector<uint64_t> outputs(out_rows);
-    update_plan_.EvalPacked(inputs.data(), /*words_per_row=*/1, outputs.data());
-    for (int v = lo; v < hi; v++) {
-      const int lane = v - lo;
-      size_t row = 0;
-      state_[v].resize(static_cast<size_t>(program_.state_bits));
-      for (auto& bit : state_[v]) {
-        bit = (outputs[row++] >> lane) & 1;
-      }
-      for (int slot = 0; slot < d; slot++) {
-        outmsg_[v][slot].resize(static_cast<size_t>(program_.message_bits));
-        for (auto& bit : outmsg_[v][slot]) {
-          bit = (outputs[row++] >> lane) & 1;
-        }
-      }
-    }
-  });
-}
-
-void CleartextFastBackend::CommunicatePhase() {
-  // Same discipline as the secure init phase: sends never block, so a
-  // send-all / receive-all sequence is deadlock-free and meters every byte.
-  // Every directed edge carries exactly one L-bit message per iteration —
-  // the secure path's traffic shape with the encryption stripped off.
-  for (size_t e = 0; e < edges_.size(); e++) {
-    auto [i, j] = edges_[e];
-    net_->Send(i, j, PackBits(outmsg_[i][out_slot_[e]]), kEdgeSession | e);
-  }
-  for (size_t e = 0; e < edges_.size(); e++) {
-    auto [i, j] = edges_[e];
-    inmsg_[j][in_slot_[e]] = UnpackBits(net_->Recv(j, i, kEdgeSession | e),
-                                        static_cast<size_t>(program_.message_bits));
-  }
-}
-
-// Flat gather: every vertex forwards its final state to the root.
-uint64_t CleartextFastBackend::GatherFlat() {
-  const int n = graph_.num_vertices();
-  for (int v = 0; v < n; v++) {
-    net_->Send(v, kAggregatorNode, PackBits(state_[v]), kGatherSession | static_cast<uint64_t>(v));
-  }
-  std::vector<uint64_t> contributions(n, 0);
-  pool_->RunGrouped(static_cast<size_t>(n), 1, [&](size_t vg, size_t) {
-    int v = static_cast<int>(vg);
-    Bytes raw = net_->Recv(kAggregatorNode, v, kGatherSession | static_cast<uint64_t>(v));
-    mpc::BitVector state = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-    contributions[v] = BitsToWord(contribution_circuit_.Eval(state));
-  });
-  uint64_t sum = 0;
-  for (uint64_t contribution : contributions) {
-    sum += contribution;
-  }
-  return sum;
-}
-
-// Tree gather, mirroring the secure runtime's §3.6 aggregation schedule so
-// large-N sweeps don't funnel every state through one node: leaf groups of
-// `fanout` vertices reduce at the group's first vertex, intermediate levels
-// combine up to `fanout` partials, and only the root sees the total. The
-// arithmetic (word sums in aggregate_bits two's complement) is associative,
-// so the released figure is identical to the flat gather's.
-uint64_t CleartextFastBackend::GatherTree() {
-  const int n = graph_.num_vertices();
-  const int fanout = config_.aggregation_fanout;
-  const int num_groups = (n + fanout - 1) / fanout;
-  const size_t agg_bits = static_cast<size_t>(program_.aggregate_bits);
-
-  for (int v = 0; v < n; v++) {
-    net_->Send(v, (v / fanout) * fanout, PackBits(state_[v]),
-               kGatherSession | static_cast<uint64_t>(v));
-  }
-  std::vector<uint64_t> partials(num_groups, 0);
-  std::vector<int> owners(num_groups, 0);
-  pool_->RunGrouped(static_cast<size_t>(num_groups), 1, [&](size_t gg, size_t) {
-    int g = static_cast<int>(gg);
-    int lo = g * fanout;
-    int hi = std::min(n, lo + fanout);
-    uint64_t sum = 0;
-    for (int v = lo; v < hi; v++) {
-      Bytes raw = net_->Recv(lo, v, kGatherSession | static_cast<uint64_t>(v));
-      mpc::BitVector state = UnpackBits(raw, static_cast<size_t>(program_.state_bits));
-      sum += BitsToWord(contribution_circuit_.Eval(state));
-    }
-    partials[gg] = sum;
-    owners[gg] = lo;
-  });
-
-  // Combine levels until at most `fanout` partials remain.
-  uint64_t level = 1;
-  while (static_cast<int>(partials.size()) > fanout) {
-    int p = static_cast<int>(partials.size());
-    int next_groups = (p + fanout - 1) / fanout;
-    for (int g = 0; g < p; g++) {
-      net_->Send(owners[g], owners[(g / fanout) * fanout],
-                 PackBits(WordToBits(partials[g], program_.aggregate_bits)),
-                 kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    }
-    std::vector<uint64_t> next_partials(next_groups, 0);
-    std::vector<int> next_owners(next_groups, 0);
-    pool_->RunGrouped(static_cast<size_t>(next_groups), 1, [&](size_t gg, size_t) {
-      int g = static_cast<int>(gg);
-      int lo = g * fanout;
-      int hi = std::min(p, lo + fanout);
-      uint64_t sum = 0;
-      for (int child = lo; child < hi; child++) {
-        Bytes raw = net_->Recv(owners[lo], owners[child],
-                               kCombineSession | (level << 32) | static_cast<uint64_t>(child));
-        sum += BitsToWord(UnpackBits(raw, agg_bits));
-      }
-      next_partials[gg] = sum;
-      next_owners[gg] = owners[lo];
-    });
-    partials = std::move(next_partials);
-    owners = std::move(next_owners);
-    level++;
-  }
-
-  // Root: combine the remaining partials at the aggregator node.
-  int p = static_cast<int>(partials.size());
-  for (int g = 0; g < p; g++) {
-    net_->Send(owners[g], kAggregatorNode, PackBits(WordToBits(partials[g], program_.aggregate_bits)),
-               kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-  }
-  uint64_t sum = 0;
-  for (int g = 0; g < p; g++) {
-    Bytes raw = net_->Recv(kAggregatorNode, owners[g],
-                           kCombineSession | (level << 32) | static_cast<uint64_t>(g));
-    sum += BitsToWord(UnpackBits(raw, agg_bits));
-  }
-  return sum;
-}
-
-int64_t CleartextFastBackend::AggregatePhase() {
-  // Sum of contributions plus sampled output noise, in aggregate_bits
-  // two's-complement arithmetic — exactly the aggregation circuit's math.
-  uint64_t sum = config_.aggregation_fanout > 0 ? GatherTree() : GatherFlat();
-  auto prg = crypto::ChaCha20Prg::FromSeed(
-      core::RolePrgSeed(config_.seed, core::kNoiseRoleTag), /*instance=*/0);
-  std::vector<uint8_t> noise_input(noise_circuit_->num_inputs());
-  for (auto& bit : noise_input) {
-    bit = prg.NextBit() ? 1 : 0;
-  }
-  sum += BitsToWord(noise_circuit_->Eval(noise_input));
-
-  const int agg_bits = program_.aggregate_bits;
-  uint64_t mask = agg_bits >= 64 ? ~0ULL : (1ULL << agg_bits) - 1;
-  uint64_t value = sum & mask;
-  if (agg_bits < 64 && (value >> (agg_bits - 1)) != 0) {
-    return static_cast<int64_t>(value) - static_cast<int64_t>(1ULL << agg_bits);
-  }
-  return static_cast<int64_t>(value);
-}
-
-void CleartextFastBackend::EvalPlanPacked(const circuit::EvalPlan& plan,
-                                          const mpc::PackedShareMatrix& in_mat,
-                                          mpc::PackedShareMatrix& out_mat) {
-  const size_t words = in_mat.words_per_row();
-  const size_t in_rows = plan.num_inputs();
-  const size_t out_rows = plan.num_outputs();
-  const size_t num_wires = plan.num_wires();
-  // Small word chunks keep the per-task wire scratch (num_wires * chunk
-  // words) cache-resident; one 64-lane-wide pass over a large circuit would
-  // blow it out.
-  constexpr size_t kWordsPerTask = 16;
-  const size_t num_tasks = (words + kWordsPerTask - 1) / kWordsPerTask;
-  pool_->RunGrouped(num_tasks, 1, [&](size_t task, size_t) {
-    const size_t w0 = task * kWordsPerTask;
-    const size_t cw = std::min(kWordsPerTask, words - w0);
-    // Uninitialized on purpose: in/out are fully written before being read,
-    // and the 4-arg EvalPacked tolerates garbage scratch. Zeroing num_wires
-    // * cw words per task would cost more than the evaluation itself.
-    std::unique_ptr<uint64_t[]> in_chunk(new uint64_t[in_rows * cw]);
-    std::unique_ptr<uint64_t[]> out_chunk(new uint64_t[out_rows * cw]);
-    std::unique_ptr<uint64_t[]> scratch(new uint64_t[num_wires * cw]);
-    for (size_t r = 0; r < in_rows; r++) {
-      std::copy_n(in_mat.row(r) + w0, cw, &in_chunk[r * cw]);
-    }
-    plan.EvalPacked(in_chunk.get(), cw, out_chunk.get(), scratch.get());
-    for (size_t r = 0; r < out_rows; r++) {
-      std::copy_n(&out_chunk[r * cw], cw, out_mat.row(r) + w0);
-    }
-  });
-}
-
-void CleartextFastBackend::CommunicateEnsembleChunk(const mpc::PackedShareMatrix& out_mat,
-                                                    mpc::PackedShareMatrix& in_mat,
-                                                    int num_scenarios, int stride) {
-  // One message per directed edge regardless of the scenario count — the
-  // whole point of the lane plane's amortization. Payload bit r*S + s is
-  // message bit r of scenario s.
-  const int sb = program_.state_bits;
-  const int mb = program_.message_bits;
-  const size_t payload_bits = static_cast<size_t>(mb) * num_scenarios;
-  for (size_t e = 0; e < edges_.size(); e++) {
-    auto [i, j] = edges_[e];
-    Bytes payload((payload_bits + 7) / 8, 0);
-    const size_t row0 = static_cast<size_t>(sb) + static_cast<size_t>(out_slot_[e]) * mb;
-    for (int r = 0; r < mb; r++) {
-      InsertBits(&payload, static_cast<size_t>(r) * num_scenarios,
-                 out_mat.GetLaneGroup(row0 + r, static_cast<size_t>(i) * stride, num_scenarios),
-                 num_scenarios);
-    }
-    net_->Send(i, j, std::move(payload), kEdgeSession | e);
-  }
-  for (size_t e = 0; e < edges_.size(); e++) {
-    auto [i, j] = edges_[e];
-    Bytes raw = net_->Recv(j, i, kEdgeSession | e);
-    DSTRESS_CHECK(raw.size() == (payload_bits + 7) / 8);
-    const size_t row0 = static_cast<size_t>(sb) + static_cast<size_t>(in_slot_[e]) * mb;
-    for (int r = 0; r < mb; r++) {
-      in_mat.SetLaneGroup(row0 + r, static_cast<size_t>(j) * stride, num_scenarios,
-                          ExtractBits(raw, static_cast<size_t>(r) * num_scenarios, num_scenarios));
-    }
-  }
-}
-
-void CleartextFastBackend::AggregateEnsembleChunk(const mpc::PackedShareMatrix& state_mat,
-                                                  int num_scenarios, int stride,
-                                                  int64_t* results) {
-  const int n = graph_.num_vertices();
-  const int sb = program_.state_bits;
-  const size_t payload_bits = static_cast<size_t>(sb) * num_scenarios;
-  for (int v = 0; v < n; v++) {
-    Bytes payload((payload_bits + 7) / 8, 0);
-    for (int r = 0; r < sb; r++) {
-      InsertBits(&payload, static_cast<size_t>(r) * num_scenarios,
-                 state_mat.GetLaneGroup(r, static_cast<size_t>(v) * stride, num_scenarios),
-                 num_scenarios);
-    }
-    net_->Send(v, kAggregatorNode, std::move(payload), kGatherSession | static_cast<uint64_t>(v));
-  }
-
-  const size_t lanes = static_cast<size_t>(n) * stride;
-  mpc::PackedShareMatrix contrib_in(contribution_plan_.num_inputs(), lanes);
-  for (int v = 0; v < n; v++) {
-    Bytes raw = net_->Recv(kAggregatorNode, v, kGatherSession | static_cast<uint64_t>(v));
-    DSTRESS_CHECK(raw.size() == (payload_bits + 7) / 8);
-    for (int r = 0; r < sb; r++) {
-      contrib_in.SetLaneGroup(r, static_cast<size_t>(v) * stride, num_scenarios,
-                              ExtractBits(raw, static_cast<size_t>(r) * num_scenarios,
-                                          num_scenarios));
-    }
-  }
-  mpc::PackedShareMatrix contrib_out(contribution_plan_.num_outputs(), lanes);
-  EvalPlanPacked(contribution_plan_, contrib_in, contrib_out);
-
-  // Per vertex: bit-transpose the agg_bits x S contribution block so word s
-  // becomes scenario s's contribution word, then accumulate — no per-bit
-  // loops in the reduction.
-  const int agg_bits = program_.aggregate_bits;
-  DSTRESS_CHECK(agg_bits <= 64);
-  std::vector<uint64_t> sums(num_scenarios, 0);
-  uint64_t block[64];
-  for (int v = 0; v < n; v++) {
-    for (int b = 0; b < 64; b++) {
-      block[b] = b < agg_bits
-                     ? contrib_out.GetLaneGroup(b, static_cast<size_t>(v) * stride, num_scenarios)
-                     : 0;
-    }
-    mpc::TransposeBits64x64(block);
-    for (int s = 0; s < num_scenarios; s++) {
-      sums[s] += block[s];
-    }
-  }
-
-  // The noise is sampled once and added to every scenario's sum: each solo
-  // run with the same seed draws this exact stream, which is what makes
-  // every lane bit-identical to its solo release.
-  auto prg = crypto::ChaCha20Prg::FromSeed(
-      core::RolePrgSeed(config_.seed, core::kNoiseRoleTag), /*instance=*/0);
-  std::vector<uint8_t> noise_input(noise_circuit_->num_inputs());
-  for (auto& bit : noise_input) {
-    bit = prg.NextBit() ? 1 : 0;
-  }
-  const uint64_t noise = BitsToWord(noise_circuit_->Eval(noise_input));
-
-  const uint64_t mask = agg_bits >= 64 ? ~0ULL : (1ULL << agg_bits) - 1;
-  for (int s = 0; s < num_scenarios; s++) {
-    uint64_t value = (sums[s] + noise) & mask;
-    if (agg_bits < 64 && (value >> (agg_bits - 1)) != 0) {
-      results[s] = static_cast<int64_t>(value) - static_cast<int64_t>(1ULL << agg_bits);
-    } else {
-      results[s] = static_cast<int64_t>(value);
-    }
-  }
-}
-
-std::vector<int64_t> CleartextFastBackend::ExecuteEnsemble(
-    const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
-    core::RunMetrics* metrics) {
-  const int total_scenarios = static_cast<int>(per_scenario_states.size());
-  DSTRESS_CHECK(total_scenarios > 0);
-  if (total_scenarios == 1) {
-    // Width-1 ensemble == solo run, traffic included.
-    core::RunMetrics local;
-    core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-    return {Execute(per_scenario_states[0], m)};
-  }
-  // Mirrors the secure plane: the ensemble aggregation schedule is flat.
-  DSTRESS_CHECK(config_.aggregation_fanout == 0);
-
-  const int n = graph_.num_vertices();
-  const int sb = program_.state_bits;
-
-  core::RunMetrics local;
-  core::RunMetrics* m = metrics != nullptr ? metrics : &local;
-  *m = core::RunMetrics{};
-  m->iterations = program_.iterations;
-  m->update_and_gates = update_circuit_.stats().num_and;
-  m->update_and_depth = update_circuit_.stats().and_depth;
-
-  Stopwatch total;
-  uint64_t bytes_before = net_->TotalBytes();
-
-  std::vector<int64_t> results(total_scenarios, 0);
-  for (int chunk_lo = 0; chunk_lo < total_scenarios; chunk_lo += 64) {
-    const int num_scenarios = std::min(64, total_scenarios - chunk_lo);
-    int stride = 1;
-    while (stride < num_scenarios) {
-      stride <<= 1;
-    }
-    const size_t lanes = static_cast<size_t>(n) * stride;
-
-    Stopwatch phase;
-    uint64_t chunk_bytes = net_->TotalBytes();
-    mpc::PackedShareMatrix in_mat(update_plan_.num_inputs(), lanes);
-    mpc::PackedShareMatrix out_mat(update_plan_.num_outputs(), lanes);
-    for (int s = 0; s < num_scenarios; s++) {
-      const auto& states = per_scenario_states[chunk_lo + s];
-      DSTRESS_CHECK(static_cast<int>(states.size()) == n);
-      for (int v = 0; v < n; v++) {
-        DSTRESS_CHECK(static_cast<int>(states[v].size()) == sb);
-      }
-    }
-    if (sb <= 64) {
-      // Per vertex: word-pack each scenario's state, transpose the S x sb
-      // block, and the rows come out as ready-made lane groups.
-      uint64_t block[64];
-      for (int v = 0; v < n; v++) {
-        for (int s = 0; s < 64; s++) {
-          uint64_t word = 0;
-          if (s < num_scenarios) {
-            const mpc::BitVector& state = per_scenario_states[chunk_lo + s][v];
-            for (int r = 0; r < sb; r++) {
-              word |= static_cast<uint64_t>(state[r] & 1) << r;
-            }
-          }
-          block[s] = word;
-        }
-        mpc::TransposeBits64x64(block);
-        for (int r = 0; r < sb; r++) {
-          in_mat.SetLaneGroup(r, static_cast<size_t>(v) * stride, num_scenarios, block[r]);
-        }
-      }
-    } else {
-      for (int v = 0; v < n; v++) {
-        for (int r = 0; r < sb; r++) {
-          uint64_t bits = 0;
-          for (int s = 0; s < num_scenarios; s++) {
-            if (per_scenario_states[chunk_lo + s][v][r] & 1) {
-              bits |= 1ULL << s;
-            }
-          }
-          in_mat.SetLaneGroup(r, static_cast<size_t>(v) * stride, num_scenarios, bits);
-        }
-      }
-    }
-    m->init.seconds += phase.ElapsedSeconds();
-    m->init.bytes += net_->TotalBytes() - chunk_bytes;
-
-    uint64_t phase_bytes = net_->TotalBytes();
-    for (int iter = 0; iter < program_.iterations; iter++) {
-      phase.Reset();
-      EvalPlanPacked(update_plan_, in_mat, out_mat);
-      for (int r = 0; r < sb; r++) {
-        std::copy_n(out_mat.row(r), out_mat.words_per_row(), in_mat.row(r));
-      }
-      m->compute.seconds += phase.ElapsedSeconds();
-      m->compute.bytes += net_->TotalBytes() - phase_bytes;
-      phase_bytes = net_->TotalBytes();
-
-      phase.Reset();
-      CommunicateEnsembleChunk(out_mat, in_mat, num_scenarios, stride);
-      m->communicate.seconds += phase.ElapsedSeconds();
-      m->communicate.bytes += net_->TotalBytes() - phase_bytes;
-      phase_bytes = net_->TotalBytes();
-    }
-    phase.Reset();
-    EvalPlanPacked(update_plan_, in_mat, out_mat);
-    m->compute.seconds += phase.ElapsedSeconds();
-    m->compute.bytes += net_->TotalBytes() - phase_bytes;
-    phase_bytes = net_->TotalBytes();
-
-    phase.Reset();
-    AggregateEnsembleChunk(out_mat, num_scenarios, stride, &results[chunk_lo]);
-    m->aggregate_and_gates +=
-        contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
-        noise_circuit_->stats().num_and;
-    m->aggregate.seconds += phase.ElapsedSeconds();
-    m->aggregate.bytes += net_->TotalBytes() - phase_bytes;
-  }
-
-  m->total_seconds = total.ElapsedSeconds();
-  m->total_bytes = net_->TotalBytes() - bytes_before;
-  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;
-  return results;
-}
-
-int64_t CleartextFastBackend::Execute(const std::vector<mpc::BitVector>& initial_states,
-                                      core::RunMetrics* metrics) {
-  const int n = graph_.num_vertices();
-  const int d = program_.degree_bound;
   DSTRESS_CHECK(static_cast<int>(initial_states.size()) == n);
+  for (const mpc::BitVector& state : initial_states) {
+    DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
+  }
 
   core::RunMetrics local;
   core::RunMetrics* m = metrics != nullptr ? metrics : &local;
@@ -658,60 +361,193 @@ int64_t CleartextFastBackend::Execute(const std::vector<mpc::BitVector>& initial
   uint64_t bytes_before = net_->TotalBytes();
 
   Stopwatch phase;
-  state_ = initial_states;
-  for (const mpc::BitVector& state : state_) {
-    DSTRESS_CHECK(static_cast<int>(state.size()) == program_.state_bits);
-  }
-  inmsg_.assign(n, std::vector<mpc::BitVector>(
-                       d, mpc::BitVector(static_cast<size_t>(program_.message_bits), 0)));
-  outmsg_.assign(n, std::vector<mpc::BitVector>(
-                        d, mpc::BitVector(static_cast<size_t>(program_.message_bits), 0)));
+  solo_plane_->Reset();
+  graphplane::PackSoloStates(initial_states, &solo_plane_->input_matrix());
+  solo_ran_ = true;
   m->init.seconds = phase.ElapsedSeconds();
   m->init.bytes = net_->TotalBytes() - bytes_before;
 
   uint64_t phase_bytes = net_->TotalBytes();
   for (int iter = 0; iter < program_.iterations; iter++) {
     phase.Reset();
-    ComputePhase();
+    solo_plane_->ComputeStep();
     m->compute.seconds += phase.ElapsedSeconds();
     m->compute.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
 
     phase.Reset();
-    CommunicatePhase();
+    solo_plane_->CommunicateStep();
     m->communicate.seconds += phase.ElapsedSeconds();
     m->communicate.bytes += net_->TotalBytes() - phase_bytes;
     phase_bytes = net_->TotalBytes();
+
+    if (early_exit_ && solo_plane_->AllConverged()) {
+      // Every remaining (compute, communicate) round is a figure-identical
+      // no-op; only the traffic shape changes, which is what the opt-in
+      // acknowledges.
+      break;
+    }
   }
   // Final computation step, as in the secure schedule (§3.6).
   phase.Reset();
-  ComputePhase();
+  solo_plane_->ComputeStep();
   m->compute.seconds += phase.ElapsedSeconds();
   m->compute.bytes += net_->TotalBytes() - phase_bytes;
   phase_bytes = net_->TotalBytes();
 
   phase.Reset();
-  int64_t result = AggregatePhase();
+  int64_t result;
+  if (config_.aggregation_fanout > 0) {
+    result = Release(MeterGatherTree(), SampleNoise());
+  } else {
+    AggregateFlat(*solo_plane_, /*num_scenarios=*/1, &result);
+  }
   m->aggregate.seconds = phase.ElapsedSeconds();
   m->aggregate.bytes = net_->TotalBytes() - phase_bytes;
 
+  m->iterations = static_cast<int>(solo_plane_->stats().iterations);
   m->total_seconds = total.ElapsedSeconds();
   m->total_bytes = net_->TotalBytes() - bytes_before;
   m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;
   return result;
 }
 
-}  // namespace
+std::vector<int64_t> ArenaCleartextBackend::ExecuteEnsemble(
+    const std::vector<std::vector<mpc::BitVector>>& per_scenario_states,
+    core::RunMetrics* metrics) {
+  const int total_scenarios = static_cast<int>(per_scenario_states.size());
+  DSTRESS_CHECK(total_scenarios > 0);
+  if (total_scenarios == 1) {
+    core::RunMetrics local;
+    core::RunMetrics* m = metrics != nullptr ? metrics : &local;
+    return {Execute(per_scenario_states[0], m)};
+  }
+  DSTRESS_CHECK(config_.aggregation_fanout == 0);
 
-std::unique_ptr<ExecutionBackend> MakeContainerCleartextBackend(const BackendContext& context) {
-  return std::make_unique<CleartextFastBackend>(context);
+  const int n = graph_.num_vertices();
+  const int sb = program_.state_bits;
+
+  core::RunMetrics local;
+  core::RunMetrics* m = metrics != nullptr ? metrics : &local;
+  *m = core::RunMetrics{};
+  m->iterations = program_.iterations;
+  m->update_and_gates = update_circuit_.stats().num_and;
+  m->update_and_depth = update_circuit_.stats().and_depth;
+
+  Stopwatch total;
+  uint64_t bytes_before = net_->TotalBytes();
+
+  int iterations_run = 0;
+  std::vector<int64_t> results(static_cast<size_t>(total_scenarios), 0);
+  for (int chunk_lo = 0; chunk_lo < total_scenarios; chunk_lo += 64) {
+    const int num_scenarios = std::min(64, total_scenarios - chunk_lo);
+    int stride = 1;
+    while (stride < num_scenarios) {
+      stride <<= 1;
+    }
+
+    Stopwatch phase;
+    uint64_t phase_bytes = net_->TotalBytes();
+    graphplane::GraphPlane::Options options;
+    options.num_scenarios = num_scenarios;
+    options.stride = stride;
+    options.edge_session_base = kEdgeSession;
+    graphplane::GraphPlane plane(graph_, program_, update_plan_, pool_.get(), net_.get(),
+                                 options);
+    mpc::PackedShareMatrix& in_mat = plane.input_matrix();
+    for (int s = 0; s < num_scenarios; s++) {
+      const auto& states = per_scenario_states[static_cast<size_t>(chunk_lo + s)];
+      DSTRESS_CHECK(static_cast<int>(states.size()) == n);
+      for (int v = 0; v < n; v++) {
+        DSTRESS_CHECK(static_cast<int>(states[static_cast<size_t>(v)].size()) == sb);
+      }
+    }
+    if (sb <= 64) {
+      // Per vertex: word-pack each scenario's state, transpose the S x sb
+      // block, and the rows come out as ready-made lane groups.
+      uint64_t block[64];
+      for (int v = 0; v < n; v++) {
+        for (int s = 0; s < 64; s++) {
+          uint64_t word = 0;
+          if (s < num_scenarios) {
+            const mpc::BitVector& state =
+                per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)];
+            for (int r = 0; r < sb; r++) {
+              word |= static_cast<uint64_t>(state[static_cast<size_t>(r)] & 1) << r;
+            }
+          }
+          block[s] = word;
+        }
+        mpc::TransposeBits64x64(block);
+        for (int r = 0; r < sb; r++) {
+          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
+                              num_scenarios, block[r]);
+        }
+      }
+    } else {
+      for (int v = 0; v < n; v++) {
+        for (int r = 0; r < sb; r++) {
+          uint64_t bits = 0;
+          for (int s = 0; s < num_scenarios; s++) {
+            if (per_scenario_states[static_cast<size_t>(chunk_lo + s)][static_cast<size_t>(v)]
+                                   [static_cast<size_t>(r)] &
+                1) {
+              bits |= 1ULL << s;
+            }
+          }
+          in_mat.SetLaneGroup(static_cast<size_t>(r), static_cast<size_t>(v) * stride,
+                              num_scenarios, bits);
+        }
+      }
+    }
+    m->init.seconds += phase.ElapsedSeconds();
+    m->init.bytes += net_->TotalBytes() - phase_bytes;
+    phase_bytes = net_->TotalBytes();
+
+    for (int iter = 0; iter < program_.iterations; iter++) {
+      phase.Reset();
+      plane.ComputeStep();
+      m->compute.seconds += phase.ElapsedSeconds();
+      m->compute.bytes += net_->TotalBytes() - phase_bytes;
+      phase_bytes = net_->TotalBytes();
+
+      phase.Reset();
+      plane.CommunicateStep();
+      m->communicate.seconds += phase.ElapsedSeconds();
+      m->communicate.bytes += net_->TotalBytes() - phase_bytes;
+      phase_bytes = net_->TotalBytes();
+
+      if (early_exit_ && plane.AllConverged()) {
+        break;
+      }
+    }
+    phase.Reset();
+    plane.ComputeStep();
+    m->compute.seconds += phase.ElapsedSeconds();
+    m->compute.bytes += net_->TotalBytes() - phase_bytes;
+    phase_bytes = net_->TotalBytes();
+
+    phase.Reset();
+    AggregateFlat(plane, num_scenarios, &results[static_cast<size_t>(chunk_lo)]);
+    m->aggregate_and_gates +=
+        contribution_circuit_.stats().num_and * static_cast<size_t>(n) * num_scenarios +
+        noise_circuit_->stats().num_and;
+    m->aggregate.seconds += phase.ElapsedSeconds();
+    m->aggregate.bytes += net_->TotalBytes() - phase_bytes;
+    iterations_run = std::max(iterations_run, static_cast<int>(plane.stats().iterations));
+  }
+
+  m->iterations = iterations_run;
+  m->total_seconds = total.ElapsedSeconds();
+  m->total_bytes = net_->TotalBytes() - bytes_before;
+  m->avg_bytes_per_node = static_cast<double>(m->total_bytes) / n;
+  return results;
 }
 
+}  // namespace
+
 std::unique_ptr<ExecutionBackend> MakeCleartextFastBackend(const BackendContext& context) {
-  if (context.spec == nullptr || context.spec->cleartext_arena) {
-    return MakeArenaCleartextBackend(context);
-  }
-  return MakeContainerCleartextBackend(context);
+  return std::make_unique<ArenaCleartextBackend>(context);
 }
 
 }  // namespace dstress::engine

@@ -33,17 +33,9 @@
 
 namespace dstress::engine {
 
-// The registered kCleartextFast factory: dispatches on
-// RunSpec::cleartext_arena between the two data planes below.
+// The registered kCleartextFast factory: the flat-arena graph plane
+// (src/graphplane, docs/graph-plane.md).
 std::unique_ptr<ExecutionBackend> MakeCleartextFastBackend(const BackendContext& context);
-
-// Flat-arena plane (src/graphplane, docs/graph-plane.md) — the default.
-std::unique_ptr<ExecutionBackend> MakeArenaCleartextBackend(const BackendContext& context);
-
-// The original container-based plane (per-vertex vector state/messages),
-// kept for A/B against the arena plane; tests/graphplane_test.cc pins the
-// two bit-identical.
-std::unique_ptr<ExecutionBackend> MakeContainerCleartextBackend(const BackendContext& context);
 
 }  // namespace dstress::engine
 

@@ -152,14 +152,7 @@ struct RunSpec {
   // IKNP OT-extension triples from the node-pair triple factory
   // (docs/offline-phase.md) instead of the simulated dealer.
   bool use_ot_triples = false;
-  // Flat-arena cleartext graph plane (src/graphplane, docs/graph-plane.md):
-  // contiguous bitsliced state/message arenas plus an active-vertex
-  // frontier. Released figures, per-vertex states and per-node TrafficStats
-  // are bit-identical either way (pinned by tests/graphplane_test.cc);
-  // false keeps the container-based plane for A/B until the differential
-  // harness retires it.
-  bool cleartext_arena = true;
-  // Opt-in early exit for the arena plane: stop iterating once every
+  // Opt-in early exit for the cleartext plane (src/graphplane): stop iterating once every
   // vertex lane has converged (the remaining iterations are provably
   // figure-identical no-ops). Off by default because it changes the
   // traffic shape — fewer communicate rounds are metered.

@@ -25,7 +25,6 @@ epsilon 0.5
 leverage 0.2
 shock 0 1 2
 triples ot
-graph_plane legacy
 early_exit on
 seed 99
 )",
@@ -45,7 +44,6 @@ seed 99
   EXPECT_DOUBLE_EQ(spec->leverage, 0.2);
   EXPECT_EQ(spec->shock.shocked_banks, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(spec->use_ot_triples);
-  EXPECT_FALSE(spec->cleartext_arena);
   EXPECT_TRUE(spec->cleartext_early_exit);
   EXPECT_EQ(spec->seed, 99u);
 }
@@ -61,7 +59,6 @@ TEST(ScenarioParseTest, DefaultsApply) {
   EXPECT_EQ(spec->block_size, 4);
   EXPECT_EQ(spec->aggregation_fanout, 0);
   EXPECT_FALSE(spec->use_ot_triples);
-  EXPECT_TRUE(spec->cleartext_arena);
   EXPECT_FALSE(spec->cleartext_early_exit);
 }
 
@@ -84,7 +81,7 @@ edge 2 3
 // Directives that selected a deleted twin implementation fail by name and
 // point the user at the changelog instead of being silently ignored.
 TEST(ScenarioParseTest, RemovedDirectivesFailByName) {
-  for (const char* line : {"transfer_batching off", "ot_batching on"}) {
+  for (const char* line : {"transfer_batching off", "ot_batching on", "graph_plane legacy"}) {
     std::string error;
     auto spec = ParseScenario(std::string("network scale_free 20 2\n") + line + "\n", &error);
     EXPECT_FALSE(spec.has_value()) << line;
@@ -130,7 +127,6 @@ TEST(ScenarioParseTest, ErrorsCarryLineNumbers) {
       {"network scale_free 20 2\ntriples maybe\n", "triples must be"},
       {"network scale_free 20 2\ntriples ot\nha checkpoint_every 1\n",
        "cannot be combined with HA checkpoint/resume"},
-      {"network scale_free 20 2\ngraph_plane vector\n", "graph_plane must be"},
       {"network scale_free 20 2\nearly_exit maybe\n", "early_exit must be"},
       {"network scale_free 20 2\nepsilon -1\n", "epsilon must be positive"},
       {"network scale_free 20 2\nleverage 0\n", "leverage must be in"},

@@ -479,24 +479,6 @@ TEST(GoldenTest, SecureEnsembles) {
   }
 }
 
-// --- legacy twin paths, asserted against the same goldens --------------------
-
-TEST(GoldenLegacyTest, ContainerCleartextPlane) {
-  if (g_regen) {
-    GTEST_SKIP() << "variants are checked, not recorded";
-  }
-  for (const Case& c : CleartextCases()) {
-    RunSpec spec = c.spec;
-    spec.cleartext_arena = false;
-    CheckGolden(c.name, ObserveRun(spec), "cleartext_arena=false");
-  }
-  for (const Case& c : CleartextEnsembleCases()) {
-    RunSpec spec = c.spec;
-    spec.cleartext_arena = false;
-    CheckGolden(c.name, ObserveEnsemble(spec), "cleartext_arena=false");
-  }
-}
-
 }  // namespace
 }  // namespace dstress
 

@@ -1,23 +1,13 @@
-// Flat-arena cleartext graph plane tests (src/graphplane + the arena
-// backend dispatch in src/engine/cleartext_backend.cc).
+// Flat-arena cleartext graph plane tests (src/graphplane).
 //
-// Two halves:
-//
-//  1. A randomized differential corpus pinning the arena plane
-//     (RunSpec::cleartext_arena = true, the default) bit-identical to the
-//     retired container plane (false) — released figures, cleartext
-//     references, per-vertex final states and per-node TrafficStats — over
-//     random topologies (N in {1, 7, 64, 1000}), EN / EGJ / custom vertex
-//     programs, flat and tree aggregation, and ensemble widths W in
-//     {1, 3, 64}. This harness is what lets the container plane be deleted
-//     later without a fidelity argument from first principles.
-//
-//  2. Frontier unit tests driving graphplane::GraphPlane directly: words
-//     deactivate when their inputs stop changing, reactivate when a changed
-//     message is delivered, every edge is still metered every iteration,
-//     and W > 1 scenario lanes converge independently without cross-lane
-//     contamination. Plus the engine-level early-exit A/B: stopping at
-//     AllConverged releases the same figure as running all I iterations.
+// Frontier unit tests driving graphplane::GraphPlane directly: words
+// deactivate when their inputs stop changing, reactivate when a changed
+// message is delivered, every edge is still metered every iteration, and
+// W > 1 scenario lanes converge independently without cross-lane
+// contamination. Plus the engine-level early-exit A/B: stopping at
+// AllConverged releases the same figure as running all I iterations.
+// Released figures, final states and traffic of the cleartext plane are
+// pinned by tests/golden_test.cc.
 
 #include "src/graphplane/plane.h"
 
@@ -34,8 +24,6 @@
 #include "src/engine/engine.h"
 #include "src/graph/graph.h"
 #include "src/net/sim_network.h"
-#include "src/programs/private_sum.h"
-#include "src/programs/reachability.h"
 
 namespace dstress {
 namespace {
@@ -46,188 +34,15 @@ using engine::ExecutionMode;
 using engine::RunReport;
 using engine::RunSpec;
 
-// --- differential corpus ----------------------------------------------------
-
-void ExpectSameTraffic(const Engine& a, const Engine& b, const std::string& label) {
-  ASSERT_EQ(a.transport().num_nodes(), b.transport().num_nodes()) << label;
-  for (int v = 0; v < a.transport().num_nodes(); v++) {
-    net::TrafficStats sa = a.transport().NodeStats(v);
-    net::TrafficStats sb = b.transport().NodeStats(v);
-    EXPECT_EQ(sa.bytes_sent, sb.bytes_sent) << label << " node " << v;
-    EXPECT_EQ(sa.bytes_received, sb.bytes_received) << label << " node " << v;
-    EXPECT_EQ(sa.messages_sent, sb.messages_sent) << label << " node " << v;
-    EXPECT_EQ(sa.messages_received, sb.messages_received) << label << " node " << v;
-  }
-}
-
-// Runs `spec` once per plane and asserts the full observable surface is
-// bit-identical: released figure, reference, final states, traffic.
-void ExpectArenaMatchesLegacy(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  RunReport a = arena.Run();
-  Engine legacy(legacy_spec);
-  RunReport l = legacy.Run();
-
-  EXPECT_EQ(a.released, l.released) << label;
-  ASSERT_EQ(a.has_reference, l.has_reference) << label;
-  if (a.has_reference) {
-    EXPECT_EQ(a.reference, l.reference) << label;
-  }
-  EXPECT_EQ(a.iterations, l.iterations) << label;
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
-
-  std::vector<mpc::BitVector> sa = arena.FinalStates();
-  std::vector<mpc::BitVector> sl = legacy.FinalStates();
-  ASSERT_EQ(sa.size(), sl.size()) << label;
-  for (size_t v = 0; v < sa.size(); v++) {
-    EXPECT_EQ(sa[v], sl[v]) << label << " vertex " << v;
-  }
-  ExpectSameTraffic(arena, legacy, label);
-}
-
 RunSpec FinanceSpec(ContagionModel model, int n, uint64_t seed) {
   RunSpec spec;
   spec.mode = ExecutionMode::kCleartextFast;
   spec.model = model;
-  if (n == 1) {
-    spec.topology = engine::ExplicitTopology(1, {});
-    spec.degree_bound = 1;
-  } else {
-    spec.topology = engine::ScaleFreeTopology(n, 2);
-    spec.topology.degree_cap = 4;
-  }
+  spec.topology = engine::ScaleFreeTopology(n, 2);
+  spec.topology.degree_cap = 4;
   spec.shock.shocked_banks = {0};
   spec.seed = seed;
   return spec;
-}
-
-TEST(GraphPlaneDifferentialTest, FinanceModelsAcrossSizesAndSeeds) {
-  for (ContagionModel model :
-       {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
-    for (int n : {1, 7, 64}) {
-      for (uint64_t seed : {1u, 23u, 777u}) {
-        RunSpec spec = FinanceSpec(model, n, seed);
-        ExpectArenaMatchesLegacy(
-            spec, std::string(model == ContagionModel::kEisenbergNoe ? "en" : "egj") + " n=" +
-                      std::to_string(n) + " seed=" + std::to_string(seed));
-      }
-    }
-  }
-}
-
-TEST(GraphPlaneDifferentialTest, ThousandVertexSweepMatches) {
-  for (ContagionModel model :
-       {ContagionModel::kEisenbergNoe, ContagionModel::kElliottGolubJackson}) {
-    RunSpec spec = FinanceSpec(model, 1000, 4);
-    ExpectArenaMatchesLegacy(spec, "n=1000");
-  }
-}
-
-// Tree aggregation (aggregation_fanout > 1) exercises the arena backend's
-// gather-tree traffic simulation against the legacy literal tree.
-TEST(GraphPlaneDifferentialTest, TreeAggregationMatchesFlat) {
-  for (int fanout : {2, 4, 8}) {
-    RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 64, 9);
-    spec.aggregation_fanout = fanout;
-    ExpectArenaMatchesLegacy(spec, "fanout=" + std::to_string(fanout));
-  }
-  RunSpec odd = FinanceSpec(ContagionModel::kElliottGolubJackson, 7, 5);
-  odd.aggregation_fanout = 3;
-  ExpectArenaMatchesLegacy(odd, "egj fanout=3");
-}
-
-TEST(GraphPlaneDifferentialTest, CustomProgramsMatch) {
-  for (int n : {7, 64}) {
-    Rng rng(static_cast<uint64_t>(n) * 31);
-    graph::Graph g = graph::GenerateScaleFree(n, 2, rng);
-
-    programs::PrivateSumParams sum_params;
-    sum_params.degree_bound = std::max(1, g.MaxDegree());
-    sum_params.noise.alpha = 1e-12;
-    sum_params.noise.magnitude_bits = 8;
-    sum_params.noise.threshold_bits = 10;
-    std::vector<uint32_t> values;
-    for (int v = 0; v < n; v++) {
-      values.push_back(static_cast<uint32_t>(100 + 7 * v));
-    }
-    RunSpec spec;
-    spec.graph = g;
-    spec.mode = ExecutionMode::kCleartextFast;
-    spec.model = ContagionModel::kCustom;
-    spec.custom_program = programs::BuildPrivateSumProgram(sum_params);
-    spec.custom_states = programs::MakePrivateSumStates(values, sum_params.value_bits);
-    spec.seed = static_cast<uint64_t>(n);
-    ExpectArenaMatchesLegacy(spec, "private_sum n=" + std::to_string(n));
-
-    programs::ReachabilityParams reach_params;
-    reach_params.degree_bound = std::max(1, g.MaxDegree());
-    reach_params.hops = 3;
-    reach_params.noise.alpha = 1e-12;
-    reach_params.noise.magnitude_bits = 8;
-    reach_params.noise.threshold_bits = 10;
-    RunSpec reach;
-    reach.graph = g;
-    reach.mode = ExecutionMode::kCleartextFast;
-    reach.model = ContagionModel::kCustom;
-    reach.custom_program = programs::BuildReachabilityProgram(reach_params);
-    reach.custom_states = programs::MakeReachabilityStates(n, {0});
-    reach.seed = static_cast<uint64_t>(n) + 1;
-    ExpectArenaMatchesLegacy(reach, "reachability n=" + std::to_string(n));
-  }
-}
-
-// Ensemble lanes: per-scenario figures and per-node traffic must match the
-// container ensemble plane lane for lane.
-void ExpectEnsembleMatches(RunSpec spec, const std::string& label) {
-  RunSpec arena_spec = spec;
-  arena_spec.cleartext_arena = true;
-  RunSpec legacy_spec = spec;
-  legacy_spec.cleartext_arena = false;
-
-  Engine arena(arena_spec);
-  ensemble::EnsembleReport a = arena.RunEnsemble();
-  Engine legacy(legacy_spec);
-  ensemble::EnsembleReport l = legacy.RunEnsemble();
-
-  ASSERT_EQ(a.scenarios.size(), l.scenarios.size()) << label;
-  for (size_t s = 0; s < a.scenarios.size(); s++) {
-    EXPECT_EQ(a.scenarios[s].released, l.scenarios[s].released) << label << " lane " << s;
-    ASSERT_EQ(a.scenarios[s].has_reference, l.scenarios[s].has_reference) << label;
-    if (a.scenarios[s].has_reference) {
-      EXPECT_EQ(a.scenarios[s].reference, l.scenarios[s].reference) << label << " lane " << s;
-    }
-  }
-  EXPECT_EQ(a.metrics.total_bytes, l.metrics.total_bytes) << label;
-  ExpectSameTraffic(arena, legacy, label);
-}
-
-TEST(GraphPlaneDifferentialTest, EnsembleWidthsMatch) {
-  // W = 1 (degenerate lane plane) and W = 3 (explicit scenarios).
-  for (int width : {1, 3}) {
-    RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
-    spec.ensemble.emplace();
-    for (int s = 0; s < width; s++) {
-      ensemble::Scenario sc;
-      sc.shock.shocked_banks = {s};
-      spec.ensemble->scenarios.push_back(sc);
-    }
-    ExpectEnsembleMatches(spec, "ensemble W=" + std::to_string(width));
-  }
-  // W = 64: a full word of Monte Carlo lanes.
-  RunSpec spec = FinanceSpec(ContagionModel::kEisenbergNoe, 40, 11);
-  spec.ensemble.emplace();
-  spec.ensemble->shock_draws = 64;
-  spec.ensemble->draw_seed = 9;
-  spec.ensemble->banks_per_draw = 2;
-  spec.ensemble->has_magnitude_range = true;
-  spec.ensemble->magnitude_lo = 0.0;
-  spec.ensemble->magnitude_hi = 0.6;
-  ExpectEnsembleMatches(spec, "ensemble W=64");
 }
 
 // --- frontier semantics -----------------------------------------------------
