@@ -48,10 +48,11 @@ double FailureProbability(double alpha_effective, int64_t lookup_entries);
 double MaxAlphaForFailureBudget(int64_t lookup_entries, double total_transfers);
 
 // Inverse of FailureProbability in the table dimension: the smallest N_l
-// such that a table of N_l entries keeps the per-transfer failure
-// probability at or below `max_failure_probability` for the given effective
-// alpha. Callers sizing a DlogTable (half-range r, N_l = 2r+1 entries) want
-// r = RequiredLookupEntries(..)/2 plus slack for the un-noised bit sum.
+// such that P(|Y| > N_l/2) <= `max_failure_probability` for a two-sided
+// geometric Y with the given effective alpha. The transfer's mask is 2·Y,
+// so a DlogTable (half-range r, 2r+1 entries) sized for it needs
+// r >= N_l plus slack for the un-noised bit sum
+// (transfer::TransferParams::RecommendedDlogRange).
 int64_t RequiredLookupEntries(double alpha_effective, double max_failure_probability);
 
 // Privacy cost of one DStress iteration against an adversary watching one

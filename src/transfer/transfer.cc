@@ -32,10 +32,13 @@ double TransferParams::EffectiveAlpha() const {
 }
 
 int64_t TransferParams::RecommendedDlogRange(double max_failure_probability) const {
-  // The table must absorb the even geometric mask (tail bounded by
-  // RequiredLookupEntries) plus the raw bit sum, which lies in
-  // [0, block_size].
-  return dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability) / 2 + block_size;
+  // A noised bit sum is s + 2·G with s in [0, block_size] and G two-sided
+  // geometric, so the lookup succeeds whenever |G| <= (range - block_size)/2.
+  // RequiredLookupEntries returns N_l with P(|G| > N_l/2) <= p; rounding N_l
+  // up to even keeps the halving exact.
+  const int64_t entries =
+      dp::RequiredLookupEntries(EffectiveAlpha(), max_failure_probability);
+  return entries + entries % 2 + block_size;
 }
 
 BlockKeys TransferSetup(int block_size, int message_bits, crypto::ChaCha20Prg& prg) {

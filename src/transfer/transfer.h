@@ -59,7 +59,8 @@ struct TransferParams {
 
   // Lookup-table half-range that keeps the per-bit-sum failure probability
   // (Appendix B's P_fail) at or below `max_failure_probability` for these
-  // parameters, including slack for the un-noised sum of k+1 subshare bits.
+  // parameters: room for the even mask 2·Geo (twice the geometric tail
+  // bound) plus the un-noised sum of k+1 subshare bits.
   int64_t RecommendedDlogRange(double max_failure_probability) const;
 };
 

@@ -259,6 +259,29 @@ TEST(TransferBatchEngineTest, NoiseCacheMatchesMulBase) {
   }
 }
 
+// The auto-sized lookup table must absorb the even mask 2·Geo(a): with a
+// bit sum s in [0, block_size], the lookup succeeds whenever
+// |Geo| <= (range - block_size) / 2, and the analytic two-sided geometric
+// tail beyond that, P(|Geo| > t) = 2·a^(t+1)/(1+a), must stay within the
+// requested failure probability.
+TEST(TransferTest, RecommendedDlogRangeCoversEvenMaskTail) {
+  for (double alpha : {0.5, 0.9, 0.99, 0.999}) {
+    for (int block : {2, 3, 4, 8, 20}) {
+      for (double p : {1e-3, 1e-6, 1e-9, 1e-12}) {
+        TransferParams params;
+        params.block_size = block;
+        params.budget_alpha = alpha;
+        const double a = params.EffectiveAlpha();
+        const int64_t range = params.RecommendedDlogRange(p);
+        const int64_t t = (range - block) / 2;
+        const double tail = 2.0 * std::pow(a, static_cast<double>(t + 1)) / (1.0 + a);
+        EXPECT_LE(tail, p) << "alpha=" << alpha << " block=" << block << " p=" << p
+                           << " range=" << range;
+      }
+    }
+  }
+}
+
 TEST(TransferTest, EffectiveAlphaFormula) {
   TransferParams params;
   params.block_size = 20;
