@@ -17,7 +17,6 @@ namespace {
 
 // Session-id namespaces (top 4 bits of a 64-bit id select the phase).
 constexpr net::SessionId kInitSession = 1ULL << 60;
-constexpr net::SessionId kComputeSession = 2ULL << 60;
 constexpr net::SessionId kTransferSession = 3ULL << 60;
 constexpr net::SessionId kAggGatherSession = 4ULL << 60;
 constexpr net::SessionId kAggEvalSession = 5ULL << 60;

@@ -95,8 +95,8 @@ struct RuntimeConfig {
   // Per-channel queued-byte cap forwarded to the transport
   // (TransportOptions::channel_high_watermark_bytes); 0 = unbounded. A
   // batched round's openings for every instance two nodes share coalesce
-  // onto one channel — size the cap for that sum, not for a
-  // single vertex's burst (see TransportOptions).
+  // onto one channel — size the cap for that sum, not for a single
+  // vertex's burst (see TransportOptions).
   size_t channel_high_watermark_bytes = 0;
   // Which wire carries the run (resolved via net::MakeTransport; "sim" or
   // "tcp" built in). The runtime never names a concrete transport type.
@@ -167,8 +167,8 @@ struct RunMetrics {
   int resumed_from_iteration = -1;
   // Offline-phase surface (docs/offline-phase.md), all zero for dealer
   // runs: wall time the triple factory spent generating waves (overlaps
-  // the phase timings above — the factory runs while the
-  // online phase evaluates), online time spent blocked on the triple pool,
+  // the phase timings above — the factory runs while the online phase
+  // evaluates), online time spent blocked on the triple pool,
   // and base-OT protocol executions during the run (both endpoints count,
   // so one node-pair setup contributes 4). ToString appends them only for
   // OT runs, so dealer reports are unchanged.

@@ -18,9 +18,8 @@
 //    session) channel discipline — so traffic shapes are observable and any
 //    registered transport (including the TCP multi-process backend, single-
 //    or multi-machine) can back this mode too;
-//  * the *scheduler layer*: compute phases run as (vertex, 1) groups on a
-//    persistent core::WorkerPool, exactly like the secure runtime's phase
-//    batches.
+//  * the *scheduler layer*: compute phases run as word-chunk tasks on a
+//    persistent core::WorkerPool, the secure runtime's scheduler.
 //
 // What it does not preserve: byte counts (a cleartext message is the L-bit
 // word, not an encrypted share matrix) and, of course, any privacy.

@@ -151,10 +151,7 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
                 static_cast<unsigned long long>(report.metrics.triples_consumed));
   // OT-triple runs name the offline-phase mode (docs/offline-phase.md) so
   // reported walls are attributable.
-  std::string planes;
-  if (spec.use_ot_triples) {
-    planes = " (triples=ot)";
-  }
+  const char* triples_note = spec.use_ot_triples ? " (triples=ot)" : "";
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
@@ -169,7 +166,7 @@ std::string FormatReport(const RunSpec& spec, const RunReport& report) {
       "wall time:           %.2f s\n"
       "traffic per bank:    %.2f MB\n",
       report.model_name.c_str(), ExecutionModeName(report.mode), transport.c_str(),
-      planes.c_str(), num_vertices, spec.block_size,
+      triples_note, num_vertices, spec.block_size,
       report.iterations, spec.shock.shocked_banks.size(), circuit_line,
       static_cast<long long>(report.released), spec.epsilon, spec.leverage,
       static_cast<unsigned long long>(report.reference), report.metrics.total_seconds,
