@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -196,11 +197,10 @@ void CheckGolden(const std::string& name, const std::vector<std::string>& observ
   for (std::string line; std::getline(in, line);) {
     expected.push_back(line);
   }
-  const std::vector<std::string>& actual = observed;
   int mismatches = 0;
-  for (size_t i = 0; i < std::max(expected.size(), actual.size()) && mismatches < 5; i++) {
+  for (size_t i = 0; i < std::max(expected.size(), observed.size()) && mismatches < 5; i++) {
     const std::string e = i < expected.size() ? expected[i] : "<end>";
-    const std::string a = i < actual.size() ? actual[i] : "<end>";
+    const std::string a = i < observed.size() ? observed[i] : "<end>";
     if (e != a) {
       ADD_FAILURE() << name << " [" << variant << "] line " << i + 1 << ": expected '" << e
                     << "', got '" << a << "'";
